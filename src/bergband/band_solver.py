@@ -10,8 +10,6 @@ prescribed targets, and track convergence as the ligament width h shrinks.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,23 +29,7 @@ __all__ = [
     "gap_report",
     "h_convergence_study",
     "almost_eigen_check",
-    "resolve_threads",
 ]
-
-THREADS_ENV = "BERGMAN_BAND_THREADS"
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else BERGMAN_BAND_THREADS, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 @dataclass(frozen=True)
@@ -86,6 +68,19 @@ class SpectrumReport:
     verdict: bool
 
 
+def _compress(
+    Qh: np.ndarray, weights: np.ndarray, Q: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Q^H diag(weights) Q, symmetrized to remove the last-bit Hermiticity
+    error of floating summation.  ``Qh`` is Q's conjugate transpose, passed
+    C-contiguous: BLAS multiplies a transposed view about three times slower.
+    ``work``, shaped like Qh, receives the weighted copy, so that a sweep
+    reuses one buffer instead of allocating an n x d array per product.
+    """
+    M = np.multiply(Qh, weights, out=work) @ Q
+    return 0.5 * (M + M.conj().T)
+
+
 def toeplitz_matrix(
     cell: CellGeometry,
     profile: RadialProfile,
@@ -94,17 +89,15 @@ def toeplitz_matrix(
     """Compression of multiplication-by-symbol to the twisted basis.
 
     A_{jk} = sum_nodes w * b * q_k * conj(q_j).  The symbol vanishes on
-    the strip, so only disc nodes contribute; the explicit symmetrization
-    removes the last-bit Hermiticity error of floating summation.
+    the strip, so only disc nodes contribute.
     """
     if basis.quad.nodes.shape != basis.Q.shape[:1]:
         raise ValueError("basis matrix is inconsistent with its quadrature")
     if basis.cell != cell:
         raise ValueError("basis was built for a different cell geometry")
     b = eval_cell_symbol(profile, cell, basis.quad.nodes)
-    wb = basis.quad.weights * b
-    A = basis.Q.conj().T @ (wb[:, None] * basis.Q)
-    return 0.5 * (A + A.conj().T)
+    Qh = np.ascontiguousarray(basis.Q.conj().T)
+    return _compress(Qh, basis.quad.weights * b, basis.Q)
 
 
 def _band_eigenvalues(A: np.ndarray, N_keep: int) -> np.ndarray:
@@ -125,13 +118,16 @@ def compute_bands(
     n_r: int = 24,
     n_t: int = 48,
     n_strip: int = 16,
-    threads: int | None = None,
 ) -> BandStructure:
-    """Band structure over an eta grid: basis, matrix, eigendecomposition per fiber.
+    """Band structure over an eta grid from one basis per geometry.
 
-    Fibers are independent, so the sweep parallelizes over a thread pool
-    (the heavy work is BLAS, which releases the GIL).  The quadrature is
-    built once and shared read-only by all workers.
+    The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the
+    eta-fiber space, so the basis Q0 is orthonormalized once, at the middle
+    eta0 of the grid's range, and each fiber is the generalized problem
+    A x = lambda G x in the twisted columns, with the d x d matrices
+    G = Q0^H diag(w t) Q0 and A = Q0^H diag(w b t) Q0, where
+    t = |e^{i (eta - eta0) z}|^2 = e^{-2 (eta - eta0) Im z}.  It is solved as
+    eigvalsh(L^-1 A L^-H) with G = L L^H; cond G <= e^{4 |eta - eta0| R0}.
     """
     etas = np.asarray(list(eta_grid), dtype=float)
     if etas.size == 0:
@@ -140,26 +136,21 @@ def compute_bands(
         raise ValueError("eta grid must lie within [-pi, pi]")
     quad = build_cell_quadrature(cell, n_r=n_r, n_t=n_t, n_strip=n_strip)
     b = eval_cell_symbol(profile, cell, quad.nodes)
+    eta0 = 0.5 * (etas.min() + etas.max())
+    basis = build_basis(cell, eta0, K_modes, quad, cutoff)
+    Q = basis.Q
+    Qh = np.ascontiguousarray(Q.conj().T)
+    w, wb, y = quad.weights, quad.weights * b, quad.nodes.imag
 
-    def solve_fiber(eta: float) -> tuple[np.ndarray, int]:
-        try:
-            basis = build_basis(cell, eta, K_modes, quad, cutoff)
-        except Exception as exc:
-            raise RuntimeError(f"fiber at eta={eta:.6f} failed: {exc}") from exc
-        wb = quad.weights * b
-        A = basis.Q.conj().T @ (wb[:, None] * basis.Q)
-        A = 0.5 * (A + A.conj().T)
-        return _band_eigenvalues(A, N_keep), basis.dim_eff
-
-    n_workers = resolve_threads(threads)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(solve_fiber, etas))
-    else:
-        results = [solve_fiber(eta) for eta in etas]
-
-    lambdas = np.vstack([r[0] for r in results])
-    dims = tuple(r[1] for r in results)
+    work = np.empty_like(Qh)
+    lambdas = np.empty((etas.size, N_keep))
+    for i, eta in enumerate(etas):
+        t = np.exp(-2.0 * (eta - eta0) * y)
+        A = _compress(Qh, wb * t, Q, work)
+        if eta != eta0:  # at eta0 the columns are orthonormal and G = I
+            L = np.linalg.cholesky(_compress(Qh, w * t, Q, work))
+            A = np.linalg.solve(L, np.linalg.solve(L, A).conj().T)
+        lambdas[i] = _band_eigenvalues(A, N_keep)
     return BandStructure(
         etas=etas,
         lambdas=lambdas,
@@ -167,7 +158,7 @@ def compute_bands(
         profile=profile,
         K_modes=K_modes,
         cutoff=cutoff,
-        dim_eff=dims,
+        dim_eff=(basis.dim_eff,) * etas.size,
     )
 
 

@@ -29,7 +29,7 @@ from .quasi_bergman import DegenerateBasisError
 from .band_solver import compute_bands, h_convergence_study
 from .floquet import CellField, floquet_forward, floquet_inverse, field_norm, floquet_norm
 from .conformal import identity_pair, rotation_pair, moebius_pair, transplant
-from .pipeline import RunConfig, run_prescribed_spectrum
+from .pipeline import RunConfig, RunResult, run_prescribed_spectrum
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -57,10 +57,7 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_json(Path(args.config).read_text())
-    if getattr(args, "threads", None) is not None:
-        cfg = RunConfig(**{**json.loads(cfg.to_json()), "threads": args.threads})
-    return cfg
+    return RunConfig.from_json(Path(args.config).read_text())
 
 
 def cmd_synth(args) -> int:
@@ -102,16 +99,15 @@ def cmd_bands(args) -> int:
     bands = compute_bands(
         cell, profile, etas,
         K_modes=cfg.K_modes, cutoff=cfg.cutoff, N_keep=cfg.N_keep,
-        n_r=cfg.n_r, n_t=cfg.n_t, n_strip=cfg.n_strip, threads=cfg.threads,
+        n_r=cfg.n_r, n_t=cfg.n_t, n_strip=cfg.n_strip,
     )
     out = args.out or cfg.bands_csv or "bands.csv"
     _write_csv(out, ["eta", "n", "lambda"], _bands_rows(bands))
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    cfg = _load_config(args)
-    result = run_prescribed_spectrum(cfg)
+def _report_doc(cfg: RunConfig, result: RunResult) -> str:
+    """The gap report of a pipeline run as indented JSON."""
     report = result.spectrum_report
     doc = {
         "config": json.loads(cfg.to_json()),
@@ -122,7 +118,13 @@ def cmd_report(args) -> int:
         "delta_achieved": report.delta_achieved,
         "verdict": "pass" if result.verdict else "fail",
     }
-    text = json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2)
+
+
+def cmd_report(args) -> int:
+    cfg = _load_config(args)
+    result = run_prescribed_spectrum(cfg)
+    text = _report_doc(cfg, result)
     out = args.out or cfg.report_json
     if out:
         Path(out).write_text(text + "\n")
@@ -136,23 +138,8 @@ def cmd_run(args) -> int:
     result = run_prescribed_spectrum(cfg)
     if cfg.bands_csv and result.band_structure is not None:
         _write_csv(cfg.bands_csv, ["eta", "n", "lambda"], _bands_rows(result.band_structure))
-    if cfg.report_json and result.spectrum_report is not None:
-        rep = result.spectrum_report
-        Path(cfg.report_json).write_text(
-            json.dumps(
-                {
-                    "config": json.loads(cfg.to_json()),
-                    "chosen_h": result.chosen_h,
-                    "components": [list(c) for c in rep.components],
-                    "gaps": [list(g) for g in rep.gaps],
-                    "targets": [dict(t) for t in rep.target_hits],
-                    "delta_achieved": rep.delta_achieved,
-                    "verdict": "pass" if result.verdict else "fail",
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+    if cfg.report_json:
+        Path(cfg.report_json).write_text(_report_doc(cfg, result) + "\n")
     if cfg.diagnostics_json:
         Path(cfg.diagnostics_json).write_text(
             json.dumps(result.diagnostics, indent=2, default=float) + "\n"
@@ -245,18 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--h", type=float, default=None)
     s.add_argument("--out", default=None)
-    s.add_argument("--threads", type=int, default=None)
     s.set_defaults(func=cmd_bands)
 
     s = sub.add_parser("report", help="run the pipeline and emit the gap report")
     s.add_argument("--config", required=True)
     s.add_argument("--out", default=None)
-    s.add_argument("--threads", type=int, default=None)
     s.set_defaults(func=cmd_report)
 
     s = sub.add_parser("run", help="full prescribed-spectrum pipeline")
     s.add_argument("--config", required=True)
-    s.add_argument("--threads", type=int, default=None)
     s.set_defaults(func=cmd_run)
 
     s = sub.add_parser("floquet-check", help="verify transform unitarity")

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .disc_spectrum import monomial_galerkin_matrix
 from .geometry import QuadratureRule
 
 __all__ = [
@@ -143,23 +144,6 @@ def transplant_symbol(
     return a_disc
 
 
-def _galerkin_on_disc(
-    a: Callable[[np.ndarray], np.ndarray],
-    N: int,
-    quad: QuadratureRule,
-    R: float = 1.0,
-) -> np.ndarray:
-    """Toeplitz Galerkin matrix in normalized monomials on the disc of radius R."""
-    z, w = quad.nodes, quad.weights
-    cols = np.empty((z.size, N), dtype=complex)
-    for n in range(N):
-        norm = np.sqrt(np.pi * R ** (2 * n + 2) / (n + 1))
-        cols[:, n] = z**n / norm
-    av = np.asarray(a(z), dtype=complex)
-    M = cols.conj().T @ (w[:, None] * av[:, None] * cols)
-    return 0.5 * (M + M.conj().T)
-
-
 def spectral_equivalence_check(
     a: Callable[[np.ndarray], np.ndarray],
     pair: ConformalPair,
@@ -176,8 +160,10 @@ def spectral_equivalence_check(
     """
     if N > 16:
         raise ValueError(f"N must be <= 16 for a meaningful truncation check, got {N}")
-    ev_omega = np.linalg.eigvalsh(_galerkin_on_disc(a, N, quad))
-    ev_disc = np.linalg.eigvalsh(_galerkin_on_disc(transplant_symbol(a, pair), N, quad))
+    ev_omega, ev_disc = (
+        np.linalg.eigvalsh(monomial_galerkin_matrix(f(quad.nodes), 1.0, N, quad))
+        for f in (a, transplant_symbol(a, pair))
+    )
     d1 = np.max(np.abs(ev_omega[:, None] - ev_disc[None, :]).min(axis=1))
     d2 = np.max(np.abs(ev_disc[:, None] - ev_omega[None, :]).min(axis=1))
     return float(max(d1, d2))

@@ -24,6 +24,7 @@ __all__ = [
     "moment_eigenvalue",
     "compute_disc_spectrum",
     "disc_galerkin_matrix",
+    "monomial_galerkin_matrix",
     "spectral_gap",
 ]
 
@@ -98,6 +99,24 @@ def _monomial_norm(R0: float, n: int) -> float:
     return float(np.sqrt(np.pi * R0 ** (2 * n + 2) / (n + 1)))
 
 
+def monomial_galerkin_matrix(
+    values: np.ndarray,
+    R: float,
+    N: int,
+    quad: QuadratureRule,
+) -> np.ndarray:
+    """Galerkin matrix of multiplication by a symbol in the normalized
+    monomials z^n / ||z^n||, n < N, of the disc of radius R, given the
+    symbol's ``values`` at the quadrature nodes."""
+    z, w = quad.nodes, quad.weights
+    v = np.asarray(values, dtype=complex)
+    cols = np.empty((z.size, N), dtype=complex)
+    for n in range(N):
+        cols[:, n] = z**n / _monomial_norm(R, n)
+    M = cols.conj().T @ (w[:, None] * v[:, None] * cols)
+    return 0.5 * (M + M.conj().T)
+
+
 def disc_galerkin_matrix(
     profile: RadialProfile,
     R0: float,
@@ -115,7 +134,7 @@ def disc_galerkin_matrix(
     """
     if N < 1:
         raise ValueError(f"matrix size must be >= 1, got {N}")
-    z, w = quad.nodes, quad.weights
+    z = quad.nodes
     # Coarseness guard: the top monomial's norm must be exact to ~1e-10.
     top = z ** (N - 1)
     err = abs(quad.norm(top) - _monomial_norm(R0, N - 1)) / _monomial_norm(R0, N - 1)
@@ -124,12 +143,7 @@ def disc_galerkin_matrix(
             f"quadrature too coarse for N={N}: monomial norm error {err:.2e}"
         )
 
-    b = profile(np.abs(z) / R0)
-    cols = np.empty((z.size, N), dtype=complex)
-    for n in range(N):
-        cols[:, n] = z**n / _monomial_norm(R0, n)
-    M = cols.conj().T @ (w[:, None] * b[:, None] * cols)
-    return 0.5 * (M + M.conj().T)
+    return monomial_galerkin_matrix(profile(np.abs(z) / R0), R0, N, quad)
 
 
 def spectral_gap(spec: DiscSpectrum, N: int) -> float:

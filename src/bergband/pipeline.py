@@ -46,17 +46,26 @@ class RunConfig:
     n_r: int = 24
     n_t: int = 48
     n_strip: int = 16
-    threads: int | None = None
     bands_csv: str | None = None
     report_json: str | None = None
     diagnostics_json: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
+        if not all(np.isfinite(self.targets)):
+            raise ValueError(f"targets must be finite, got {list(self.targets)}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.h_initial > 0.1:
             raise ValueError(f"h_initial must be <= 0.1, got {self.h_initial}")
+        if not (0.0 < self.h_min <= self.h_initial):
+            raise ValueError(
+                f"h_min must be in (0, h_initial={self.h_initial}], got {self.h_min}"
+            )
+        if self.K_modes < 0:
+            raise ValueError(f"K_modes must be >= 0, got {self.K_modes}")
+        if self.N_keep < 1:
+            raise ValueError(f"N_keep must be >= 1, got {self.N_keep}")
         if self.eta_points < 3 or self.eta_points % 2 == 0:
             raise ValueError(f"eta_points must be odd and >= 3, got {self.eta_points}")
 
@@ -149,7 +158,6 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
     h = config.h_initial
     bands: BandStructure | None = None
     report: SpectrumReport | None = None
-    last_dist = None
     while h >= config.h_min:
         cell = CellGeometry(R0=config.R0, h=h)
         bands = compute_bands(
@@ -162,7 +170,6 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
             n_r=config.n_r,
             n_t=config.n_t,
             n_strip=config.n_strip,
-            threads=config.threads,
         )
         components = essential_spectrum(bands, zero_tol=delta / 2.0)
         report = gap_report(components, tspec)
@@ -187,7 +194,6 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
                 verdict=True,
                 diagnostics=diagnostics,
             )
-        last_dist = dists
         h *= 0.5
 
     diagnostics["failure"] = f"h fell below h_min={config.h_min} without a pass"

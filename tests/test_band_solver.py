@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bergband.geometry import CellGeometry
+from bergband.geometry import CellGeometry, build_cell_quadrature
 from bergband.symbols import RadialProfile, TargetSpec
 from bergband.disc_spectrum import compute_disc_spectrum
 from bergband.quasi_bergman import build_basis
@@ -12,8 +12,6 @@ from bergband.band_solver import (
     gap_report,
     h_convergence_study,
     almost_eigen_check,
-    resolve_threads,
-    THREADS_ENV,
 )
 
 
@@ -81,24 +79,28 @@ class TestComputeBands:
         incr_fine = np.max(np.abs(np.diff(fine.lambdas, axis=0)))
         assert incr_fine <= 1.25 * C * np.sqrt(np.diff(fine.etas)[0])
 
-    def test_threads_match_serial(self, k3_profile):
-        cell = CellGeometry(R0=0.35, h=0.05)
-        etas = np.linspace(-np.pi, np.pi, 5)
-        kw = dict(K_modes=5, N_keep=4, n_r=12, n_t=24, n_strip=8)
-        serial = compute_bands(cell, k3_profile, etas, threads=1, **kw)
-        parallel = compute_bands(cell, k3_profile, etas, threads=4, **kw)
-        assert np.array_equal(serial.lambdas, parallel.lambdas)
+    @pytest.mark.parametrize("K", [10, 16, 24])
+    @pytest.mark.parametrize(
+        "etas",
+        [np.linspace(-np.pi, np.pi, 9), np.linspace(0.3, 2.9, 7), [1.1]],
+        ids=["symmetric", "one-sided", "single"],
+    )
+    def test_matches_per_fiber_basis(self, k3_profile, K, etas):
+        # One basis twisted onto every fiber spans the same space as the
+        # basis orthonormalized at that fiber, so the bands agree.
+        cell = CellGeometry(R0=0.35, h=0.02)
+        bands = compute_bands(cell, k3_profile, etas, K_modes=K)
+        quad = build_cell_quadrature(cell)
+        for i, eta in enumerate(etas):
+            basis = build_basis(cell, eta, K, quad)
+            ev = np.linalg.eigvalsh(toeplitz_matrix(cell, k3_profile, basis))
+            ref = ev[np.argsort(-np.abs(ev), kind="stable")][: bands.N_keep]
+            assert np.max(np.abs(bands.lambdas[i] - ref)) <= 1e-12
+            assert bands.dim_eff[i] == basis.dim_eff
 
     def test_empty_grid_rejected(self, k3_profile):
         with pytest.raises(ValueError):
             compute_bands(CellGeometry(0.35, 0.05), k3_profile, [])
-
-    def test_resolve_threads_env(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        assert resolve_threads() == 3
-        assert resolve_threads(2) == 2
-        monkeypatch.delenv(THREADS_ENV)
-        assert resolve_threads() == 1
 
 
 class TestEssentialSpectrum:

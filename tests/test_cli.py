@@ -119,6 +119,35 @@ class TestRunAndReport:
     def test_missing_config_usage_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"h_min": 0.2},
+            {"h_min": 0.0},
+            {"N_keep": 0},
+            {"targets": [0.3, float("nan")]},
+            {"K_modes": -1},
+            {"threads": 2},
+        ],
+        ids=[
+            "h_min-above-h_initial",
+            "h_min-zero",
+            "N_keep-zero",
+            "nan-target",
+            "K_modes-negative",
+            "unknown-key",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_invalid_config_usage_error(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"targets": [0.3, 0.2, 0.1], "eta_points": 3, **bad}))
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        # one line that names the offending field
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert next(iter(bad)) in err[0]
+
 
 class TestChecks:
     def test_floquet_check(self, capsys):
