@@ -11,6 +11,7 @@ weights, nodes inside the region, total weight equal to the area.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,8 +90,18 @@ class QuadratureRule:
         return float(np.sqrt(np.sum(self.weights * np.abs(f) ** 2)))
 
 
-def _gauss_segment(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and returned read-only, since every caller shares the same arrays."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_segment(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

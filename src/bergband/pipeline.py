@@ -13,6 +13,7 @@ falls below h_min.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -29,6 +30,28 @@ from .band_solver import (
 )
 
 __all__ = ["RunConfig", "RunResult", "run_prescribed_spectrum", "choose_gap_index"]
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float without overflow."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, float) or (
+        isinstance(value, int) and abs(value) <= sys.float_info.max
+    )
+
+
+# RunConfig field annotation -> (what a JSON value must be, test of the value)
+_JSON_KINDS = {
+    "tuple[float, ...]": (
+        "a list of numbers",
+        lambda v: isinstance(v, list) and all(_is_number(t) for t in v),
+    ),
+    "float": ("a number", _is_number),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
 
 
 @dataclass(frozen=True)
@@ -56,6 +79,12 @@ class RunConfig:
             raise ValueError(f"targets must be finite, got {list(self.targets)}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if self.delta_override is not None and not (0.0 < self.delta_override < np.inf):
+            raise ValueError(
+                f"delta_override must be positive and finite, got {self.delta_override}"
+            )
+        if not (0.0 <= self.cutoff < 1.0):
+            raise ValueError(f"cutoff must be in [0, 1), got {self.cutoff}")
         if self.h_initial > 0.1:
             raise ValueError(f"h_initial must be <= 0.1, got {self.h_initial}")
         if not (0.0 < self.h_min <= self.h_initial):
@@ -71,13 +100,20 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
+        """Config from a JSON object; any malformed document raises ValueError."""
         doc = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "targets" in doc:
-            doc["targets"] = tuple(doc["targets"])
+        if "targets" not in doc:
+            raise ValueError("config is missing the required field targets")
+        for name, value in doc.items():
+            want, ok = _JSON_KINDS[cls.__dataclass_fields__[name].type]
+            if not ok(value):
+                raise ValueError(f"{name} must be {want}, got {value!r}")
+        doc["targets"] = tuple(doc["targets"])
         return cls(**doc)
 
     def to_json(self) -> str:

@@ -11,9 +11,17 @@ The raw modes are Vandermonde-grade ill-conditioned (they grow like
 e^{2 pi |k| R0} across the disc), so the basis is never formed by QR of a
 raw sample matrix.  Instead each new mode is produced by multiplying the
 previous orthonormal vector in its chain by e^{+-2 pi i z} and
-re-orthogonalizing twice (the multiply-then-orthogonalize strategy that
+re-orthogonalizing it (the multiply-then-orthogonalize strategy that
 keeps Krylov-style recurrences stable where the plain Vandermonde matrix
-would lose all digits).
+would lose all digits).  The re-orthogonalization is classical
+Gram-Schmidt done twice, each pass one block projection against all
+accepted columns (two matrix-vector products), so it runs at BLAS speed.
+A single classical pass can lose orthogonality in proportion to the
+condition of the candidates, but a second pass restores it to the level of
+the unit roundoff whenever the candidate is numerically independent of the
+accepted columns ("twice is enough": Giraud, Langou and Rozloznik, Comput.
+Math. Appl. 50 (2005) 1069-1075); dependent candidates are what the cutoff
+rejects.
 
 Every basis column also carries its exact expansion over the raw modes, so
 columns can be evaluated at arbitrary points off the quadrature grid; the
@@ -99,8 +107,10 @@ def build_basis(
 
     Starting from the normalized seed e^{i eta z}, modes with k = +-1,
     +-2, ... are generated by multiplying the most recent vector of the
-    corresponding chain by e^{+-2 pi i z}, followed by twice-iterated
-    modified Gram-Schmidt against all accepted columns.  A candidate whose
+    corresponding chain by e^{+-2 pi i z}, followed by classical
+    Gram-Schmidt done twice (CGS2): each pass subtracts the candidate's
+    block projection Q Q^H W cand onto all accepted columns at once, and the
+    second pass removes what the first left behind.  A candidate whose
     orthogonal remainder is below ``cutoff`` relative to its pre-projection
     norm is numerically dependent and is discarded (and its chain stops,
     since further multiples would inherit the dependency).
@@ -110,50 +120,50 @@ def build_basis(
     z, w = quad.nodes, quad.weights
     n_coeff = 2 * K_modes + 1
 
-    def wip(f, g):
-        return np.sum(w * np.conj(f) * g)
+    def wnorm(f):
+        return np.sqrt(np.dot(w, f.real**2 + f.imag**2))
 
-    cols: list[np.ndarray] = []
-    coeffs: list[np.ndarray] = []
+    # Accepted columns are the rows of Qt, their raw-mode coefficients the
+    # rows of C; the first m rows of each are filled.
+    Qt = np.empty((n_coeff, z.size), dtype=complex)
+    C = np.zeros((n_coeff, n_coeff), dtype=complex)
 
     seed = np.exp(1j * eta * z)
-    nrm = np.sqrt(wip(seed, seed).real)
+    nrm = wnorm(seed)
     if not np.isfinite(nrm) or nrm == 0.0:
         raise DegenerateBasisError("seed mode has zero or non-finite norm")
-    cols.append(seed / nrm)
-    c0 = np.zeros(n_coeff, dtype=complex)
-    c0[K_modes] = 1.0 / nrm
-    coeffs.append(c0)
+    Qt[0] = seed / nrm
+    C[0, K_modes] = 1.0 / nrm
+    m = 1
 
-    head = {+1: 0, -1: 0}  # index of the last accepted column per chain
+    step = {s: np.exp(1j * s * 2.0 * np.pi * z) for s in (+1, -1)}
+    head = {+1: 0, -1: 0}  # row of the last accepted column per chain
     for k in range(1, K_modes + 1):
         for s in (+1, -1):
             if head[s] < 0:
                 continue  # chain terminated at an earlier k
-            cand = np.exp(1j * s * 2.0 * np.pi * z) * cols[head[s]]
-            ccoef = np.roll(coeffs[head[s]], s)  # multiply = shift in mode index
-            pre = np.sqrt(wip(cand, cand).real)
-            for _ in range(2):  # twice is enough (Kahan-Parlett)
-                for q, qc in zip(cols, coeffs):
-                    proj = wip(q, cand)
-                    cand = cand - proj * q
-                    ccoef = ccoef - proj * qc
-            post = np.sqrt(wip(cand, cand).real)
+            cand = step[s] * Qt[head[s]]
+            ccoef = np.roll(C[head[s]], s)  # multiply = shift in mode index
+            pre = wnorm(cand)
+            for _ in range(2):  # twice is enough (Giraud-Langou-Rozloznik)
+                proj = np.conj(Qt[:m] @ np.conj(w * cand))  # Q^H W cand
+                cand -= proj @ Qt[:m]
+                ccoef -= proj @ C[:m]
+            post = wnorm(cand)
             if post <= cutoff * pre:
                 head[s] = -1
                 continue
-            cols.append(cand / post)
-            coeffs.append(ccoef / post)
-            head[s] = len(cols) - 1
+            Qt[m] = cand / post
+            C[m] = ccoef / post
+            head[s] = m
+            m += 1
 
-    if not cols:
-        raise DegenerateBasisError(f"no basis directions survived at eta={eta}")
     return TwistedBasis(
         eta=float(eta),
         K_modes=K_modes,
-        Q=np.column_stack(cols),
-        mode_coeffs=np.column_stack(coeffs),
-        dim_eff=len(cols),
+        Q=Qt[:m].T,
+        mode_coeffs=C[:m].T,
+        dim_eff=m,
         cell=cell,
         quad=quad,
     )

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,10 @@ def run_config_path(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+# a config that passes validation, for tests that break one field of it
+VALID_DOC = {"targets": [0.3, 0.2, 0.1], "eta_points": 3}
 
 
 def read_csv(path):
@@ -120,14 +128,22 @@ class TestRunAndReport:
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "bad",
+        "doc, field",
         [
-            {"h_min": 0.2},
-            {"h_min": 0.0},
-            {"N_keep": 0},
-            {"targets": [0.3, float("nan")]},
-            {"K_modes": -1},
-            {"threads": 2},
+            ({**VALID_DOC, "h_min": 0.2}, "h_min"),
+            ({**VALID_DOC, "h_min": 0.0}, "h_min"),
+            ({**VALID_DOC, "N_keep": 0}, "N_keep"),
+            ({**VALID_DOC, "targets": [0.3, float("nan")]}, "targets"),
+            ({**VALID_DOC, "K_modes": -1}, "K_modes"),
+            ({**VALID_DOC, "threads": 2}, "threads"),
+            ({}, "targets"),
+            ({"targets": 0.3}, "targets"),
+            ([1, 2], "object"),
+            ({"targets": [0.3, 0.2], "epsilon": "x"}, "epsilon"),
+            ({**VALID_DOC, "K_modes": 10.5}, "K_modes"),
+            ({**VALID_DOC, "delta_override": -0.1}, "delta_override"),
+            ({**VALID_DOC, "cutoff": -1}, "cutoff"),
+            ({**VALID_DOC, "cutoff": 1.0}, "cutoff"),
         ],
         ids=[
             "h_min-above-h_initial",
@@ -136,17 +152,25 @@ class TestRunAndReport:
             "nan-target",
             "K_modes-negative",
             "unknown-key",
+            "missing-targets",
+            "scalar-targets",
+            "not-an-object",
+            "string-epsilon",
+            "fractional-K_modes",
+            "delta_override-negative",
+            "cutoff-negative",
+            "cutoff-one",
         ],
     )
     @pytest.mark.parametrize("command", ["run", "report"])
-    def test_invalid_config_usage_error(self, tmp_path, capsys, command, bad):
+    def test_invalid_config_usage_error(self, tmp_path, capsys, command, doc, field):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"targets": [0.3, 0.2, 0.1], "eta_points": 3, **bad}))
+        path.write_text(json.dumps(doc))
         assert main([command, "--config", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err.strip().splitlines()
         # one line that names the offending field
         assert len(err) == 1 and err[0].startswith("error:")
-        assert next(iter(bad)) in err[0]
+        assert field in err[0]
 
 
 class TestChecks:
@@ -175,6 +199,16 @@ class TestChecks:
         header, rows = read_csv(out)
         assert header == ["h", "n", "lambda", "error"]
         assert len(rows) == 4
+
+    def test_module_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bergband", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("usage: bergband")
 
     def test_unknown_command_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

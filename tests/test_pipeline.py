@@ -2,10 +2,28 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergband.symbols import IllConditionedError
 from bergband.disc_spectrum import compute_disc_spectrum
 from bergband.pipeline import RunConfig, run_prescribed_spectrum, choose_gap_index
+
+
+# JSON values of every type, including ints beyond the float range
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=5),
+)
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=4))
+_FIELD_DOCS = st.dictionaries(st.sampled_from(sorted(RunConfig.__dataclass_fields__)), _JSON_VALUES)
+_CONFIG_DOCS = st.one_of(
+    _FIELD_DOCS,
+    _FIELD_DOCS.map(lambda doc: {"targets": [0.3, 0.1], **doc}),
+    _JSON_VALUES,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +57,18 @@ class TestRunConfig:
     def test_large_h_initial_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(targets=(0.1,), h_initial=0.2)
+
+    @given(_CONFIG_DOCS)
+    @settings(max_examples=300, deadline=None)
+    def test_from_json_config_or_value_error(self, doc):
+        # Mixed-type documents over the known keys: a config comes back or a
+        # ValueError, which the CLI reports as a usage error, never any other
+        # exception.
+        try:
+            config = RunConfig.from_json(json.dumps(doc))
+        except ValueError:
+            return
+        assert isinstance(config, RunConfig)
 
 
 class TestChooseGapIndex:

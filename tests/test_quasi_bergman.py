@@ -3,12 +3,59 @@ import pytest
 
 from bergband.geometry import build_cell_quadrature
 from bergband.quasi_bergman import (
+    DEFAULT_CUTOFF,
+    TwistedBasis,
     raw_mode,
     build_basis,
     project,
     twist,
     projector_distance,
 )
+
+
+def mgs_reference_basis(cell, eta, K_modes, quad, cutoff=DEFAULT_CUTOFF):
+    """build_basis written as per-pair, twice-iterated modified Gram-Schmidt:
+    the same chains, coefficient shifts and cutoff rule, one inner product at
+    a time."""
+    z, w = quad.nodes, quad.weights
+
+    def wip(f, g):
+        return np.sum(w * np.conj(f) * g)
+
+    seed = np.exp(1j * eta * z)
+    nrm = np.sqrt(wip(seed, seed).real)
+    c0 = np.zeros(2 * K_modes + 1, dtype=complex)
+    c0[K_modes] = 1.0 / nrm
+    cols, coeffs = [seed / nrm], [c0]
+    head = {+1: 0, -1: 0}
+    for k in range(1, K_modes + 1):
+        for s in (+1, -1):
+            if head[s] < 0:
+                continue
+            cand = np.exp(1j * s * 2.0 * np.pi * z) * cols[head[s]]
+            ccoef = np.roll(coeffs[head[s]], s)
+            pre = np.sqrt(wip(cand, cand).real)
+            for _ in range(2):
+                for q, qc in zip(cols, coeffs):
+                    proj = wip(q, cand)
+                    cand = cand - proj * q
+                    ccoef = ccoef - proj * qc
+            post = np.sqrt(wip(cand, cand).real)
+            if post <= cutoff * pre:
+                head[s] = -1
+                continue
+            cols.append(cand / post)
+            coeffs.append(ccoef / post)
+            head[s] = len(cols) - 1
+    return TwistedBasis(
+        eta=float(eta),
+        K_modes=K_modes,
+        Q=np.column_stack(cols),
+        mode_coeffs=np.column_stack(coeffs),
+        dim_eff=len(cols),
+        cell=cell,
+        quad=quad,
+    )
 
 
 class TestRawMode:
@@ -72,6 +119,35 @@ class TestBuildBasis:
     def test_negative_k_rejected(self, cell_mid, quad_mid):
         with pytest.raises(ValueError):
             build_basis(cell_mid, 0.0, -1, quad_mid)
+
+
+class TestBlockGramSchmidt:
+    """build_basis against the per-pair MGS reference: same dimension, same
+    span, orthonormal columns and a correct raw-mode expansion."""
+
+    @pytest.fixture(scope="class", params=["quad_mid", "six_nodes"])
+    def rule(self, request, cell_mid, quad_mid):
+        if request.param == "quad_mid":
+            return quad_mid
+        # 2 disc panels x 1 x 2 angles + 2 strip nodes: every chain terminates
+        return build_cell_quadrature(cell_mid, n_r=1, n_t=2, n_strip=1)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.3, -np.pi])
+    @pytest.mark.parametrize("K", [0, 3, 10, 16])
+    def test_matches_mgs_reference(self, cell_mid, rule, K, eta):
+        basis = build_basis(cell_mid, eta, K, rule)
+        ref = mgs_reference_basis(cell_mid, eta, K, rule)
+        assert basis.dim_eff == ref.dim_eff
+        assert projector_distance(basis, ref) <= 1e-12
+        G = basis.Q.conj().T @ (rule.weights[:, None] * basis.Q)
+        assert np.linalg.norm(G - np.eye(basis.dim_eff), 2) <= 1e-13
+        # The expansion sums raw modes as large as e^{2 pi K R0}, so its
+        # error is relative to the size of the summands, not of the columns.
+        k = np.arange(-K, K + 1)
+        modes = np.exp(1j * np.outer(rule.nodes, eta + 2.0 * np.pi * k))
+        scale = np.abs(modes) @ np.abs(basis.mode_coeffs)
+        err = np.abs(basis.evaluate(rule.nodes) - basis.Q)
+        assert np.all(err <= 1e-10 * scale)
 
 
 class TestProject:
