@@ -83,6 +83,8 @@ class RunConfig:
             raise ValueError(
                 f"delta_override must be positive and finite, got {self.delta_override}"
             )
+        if not (0.25 < self.R0 < 0.5):
+            raise ValueError(f"R0 must be in (1/4, 1/2), got {self.R0}")
         if not (0.0 <= self.cutoff < 1.0):
             raise ValueError(f"cutoff must be in [0, 1), got {self.cutoff}")
         if self.h_initial > 0.1:
@@ -95,6 +97,9 @@ class RunConfig:
             raise ValueError(f"K_modes must be >= 0, got {self.K_modes}")
         if self.N_keep < 1:
             raise ValueError(f"N_keep must be >= 1, got {self.N_keep}")
+        for name in ("n_r", "n_t", "n_strip"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.eta_points < 3 or self.eta_points % 2 == 0:
             raise ValueError(f"eta_points must be odd and >= 3, got {self.eta_points}")
 

@@ -23,10 +23,12 @@ accepted columns ("twice is enough": Giraud, Langou and Rozloznik, Comput.
 Math. Appl. 50 (2005) 1069-1075); dependent candidates are what the cutoff
 rejects.
 
-Every basis column also carries its exact expansion over the raw modes, so
+Every basis column also carries its expansion over the raw modes, so
 columns can be evaluated at arbitrary points off the quadrature grid; the
 quasiperiodic boundary identity then holds analytically, not just at the
-nodes.
+nodes.  The expansion is exact in exact arithmetic only: its coefficients
+grow like e^{2 pi K R0} and cancel, so in floating point it loses digits
+as K grows (see ``TwistedBasis.evaluate``).
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ class TwistedBasis:
     Q : ndarray, shape (n_nodes, dim_eff)
         Column-orthonormal in the weighted inner product: Q^H W Q = I.
     mode_coeffs : ndarray, shape (2 K + 1, dim_eff)
-        Exact expansion of each column over raw modes (row index k + K),
-        enabling evaluation away from the quadrature nodes.
+        Expansion of each column over raw modes (row index k + K),
+        enabling evaluation away from the quadrature nodes; exact in exact
+        arithmetic, with cancellation error growing like e^{2 pi K R0}.
     dim_eff : int
         Number of directions that survived the conditioning cutoff.
     """
@@ -82,7 +85,14 @@ class TwistedBasis:
     quad: QuadratureRule
 
     def evaluate(self, z: complex | np.ndarray) -> np.ndarray:
-        """Basis column values at arbitrary points, via the raw-mode expansion."""
+        """Basis column values at arbitrary points, via the raw-mode expansion.
+
+        The expansion is exact in exact arithmetic.  In floating point its
+        terms reach e^{2 pi K R0} and cancel: at the quadrature nodes the
+        values match Q to about 2.8e-10 (K = 16), 2.4e-7 (K = 24) and
+        4.8e-4 (K = 32) relative to max |Q| at h = 0.05 on the default
+        cell quadrature.
+        """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         k = np.arange(-self.K_modes, self.K_modes + 1)
         modes = np.exp(1j * np.outer(z, self.eta + 2.0 * np.pi * k))

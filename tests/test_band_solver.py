@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,16 +81,27 @@ class TestComputeBands:
         incr_fine = np.max(np.abs(np.diff(fine.lambdas, axis=0)))
         assert incr_fine <= 1.25 * C * np.sqrt(np.diff(fine.etas)[0])
 
-    @pytest.mark.parametrize("K", [10, 16, 24])
     @pytest.mark.parametrize(
-        "etas",
-        [np.linspace(-np.pi, np.pi, 9), np.linspace(0.3, 2.9, 7), [1.1]],
-        ids=["symmetric", "one-sided", "single"],
+        "R0, K, grid",
+        [
+            pytest.param(0.35, K, grid, id=f"{grid}-{K}")
+            for grid in ("symmetric", "one-sided", "single")
+            for K in (10, 16, 24)
+        ]
+        # R0 = 0.49 needs the most Chebyshev terms (M = 22)
+        + [pytest.param(0.49, K, "symmetric", id=f"R0-0.49-symmetric-{K}") for K in (10, 24)]
+        + [pytest.param(0.35, 10, "symmetric-33", id="symmetric-33-10")],
     )
-    def test_matches_per_fiber_basis(self, k3_profile, K, etas):
+    def test_matches_per_fiber_basis(self, k3_profile, R0, K, grid):
         # One basis twisted onto every fiber spans the same space as the
         # basis orthonormalized at that fiber, so the bands agree.
-        cell = CellGeometry(R0=0.35, h=0.02)
+        etas = {
+            "symmetric": np.linspace(-np.pi, np.pi, 9),
+            "one-sided": np.linspace(0.3, 2.9, 7),
+            "single": [1.1],
+            "symmetric-33": np.linspace(-np.pi, np.pi, 33),
+        }[grid]
+        cell = CellGeometry(R0=R0, h=0.02)
         bands = compute_bands(cell, k3_profile, etas, K_modes=K)
         quad = build_cell_quadrature(cell)
         for i, eta in enumerate(etas):
@@ -97,6 +110,18 @@ class TestComputeBands:
             ref = ev[np.argsort(-np.abs(ev), kind="stable")][: bands.N_keep]
             assert np.max(np.abs(bands.lambdas[i] - ref)) <= 1e-12
             assert bands.dim_eff[i] == basis.dim_eff
+
+    def test_real_nodes_untwisted(self, k3_profile):
+        # n_t = n_strip = 1 puts every node on the real axis, where the
+        # twist weight is 1 for every eta: each fiber is the eta0 fiber.
+        cell = CellGeometry(R0=0.35, h=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bands = compute_bands(
+                cell, k3_profile, [-1.0, 0.0, 1.0], K_modes=2, N_keep=3,
+                n_r=4, n_t=1, n_strip=1,
+            )
+        assert np.all(bands.lambdas == bands.lambdas[1])
 
     def test_empty_grid_rejected(self, k3_profile):
         with pytest.raises(ValueError):

@@ -144,6 +144,10 @@ class TestRunAndReport:
             ({**VALID_DOC, "delta_override": -0.1}, "delta_override"),
             ({**VALID_DOC, "cutoff": -1}, "cutoff"),
             ({**VALID_DOC, "cutoff": 1.0}, "cutoff"),
+            ({**VALID_DOC, "n_r": 0}, "n_r"),
+            ({**VALID_DOC, "n_t": 0}, "n_t"),
+            ({**VALID_DOC, "n_strip": 0}, "n_strip"),
+            ({**VALID_DOC, "R0": 0.5}, "R0"),
         ],
         ids=[
             "h_min-above-h_initial",
@@ -160,6 +164,10 @@ class TestRunAndReport:
             "delta_override-negative",
             "cutoff-negative",
             "cutoff-one",
+            "n_r-zero",
+            "n_t-zero",
+            "n_strip-zero",
+            "R0-half",
         ],
     )
     @pytest.mark.parametrize("command", ["run", "report"])

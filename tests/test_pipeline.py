@@ -58,6 +58,15 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(targets=(0.1,), h_initial=0.2)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_r", 0), ("n_t", -1), ("n_strip", 0), ("R0", 0.25), ("R0", 0.5)],
+    )
+    def test_quadrature_and_cell_fields_rejected(self, field, value):
+        # caught at construction, before any synthesis or quadrature runs
+        with pytest.raises(ValueError, match=field):
+            RunConfig(targets=(0.1,), **{field: value})
+
     @given(_CONFIG_DOCS)
     @settings(max_examples=300, deadline=None)
     def test_from_json_config_or_value_error(self, doc):
