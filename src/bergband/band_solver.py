@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CellGeometry, build_cell_quadrature
-from .quasi_bergman import TwistedBasis, build_basis, DEFAULT_CUTOFF
+from .geometry import CellGeometry, build_cell_quadrature, compress
+from .quasi_bergman import TwistedBasis, build_basis
 from .symbols import RadialProfile, TargetSpec, eval_cell_symbol
-from .disc_spectrum import compute_disc_spectrum
+from .disc_spectrum import N_SCAN, compute_disc_spectrum
 
 __all__ = [
     "BandStructure",
@@ -45,7 +45,6 @@ class BandStructure:
     cell: CellGeometry
     profile: RadialProfile
     K_modes: int
-    cutoff: float
     dim_eff: tuple[int, ...] = ()
 
     @property
@@ -70,19 +69,6 @@ class SpectrumReport:
     verdict: bool
 
 
-def _compress(
-    Qh: np.ndarray, weights: np.ndarray, Q: np.ndarray, work: np.ndarray | None = None
-) -> np.ndarray:
-    """Q^H diag(weights) Q, symmetrized to remove the last-bit Hermiticity
-    error of floating summation.  ``Qh`` is Q's conjugate transpose, passed
-    C-contiguous: BLAS multiplies a transposed view about three times slower.
-    ``work``, shaped like Qh, receives the weighted copy, so that a sweep
-    reuses one buffer instead of allocating an n x d array per product.
-    """
-    M = np.multiply(Qh, weights, out=work) @ Q
-    return 0.5 * (M + M.conj().T)
-
-
 def toeplitz_matrix(
     cell: CellGeometry,
     profile: RadialProfile,
@@ -99,7 +85,7 @@ def toeplitz_matrix(
         raise ValueError("basis was built for a different cell geometry")
     b = eval_cell_symbol(profile, cell, basis.quad.nodes)
     Qh = np.ascontiguousarray(basis.Q.conj().T)
-    return _compress(Qh, basis.quad.weights * b, basis.Q)
+    return compress(Qh, basis.quad.weights * b, basis.Q)
 
 
 def _band_eigenvalues(A: np.ndarray, N_keep: int) -> np.ndarray:
@@ -142,7 +128,6 @@ def compute_bands(
     profile: RadialProfile,
     eta_grid: Sequence[float],
     K_modes: int = 10,
-    cutoff: float = DEFAULT_CUTOFF,
     N_keep: int = 8,
     n_r: int = 24,
     n_t: int = 48,
@@ -178,7 +163,7 @@ def compute_bands(
     quad = build_cell_quadrature(cell, n_r=n_r, n_t=n_t, n_strip=n_strip)
     b = eval_cell_symbol(profile, cell, quad.nodes)
     eta0 = 0.5 * (etas.min() + etas.max())
-    basis = build_basis(cell, eta0, K_modes, quad, cutoff)
+    basis = build_basis(cell, eta0, K_modes, quad)
     Q = basis.Q
     Qh = np.ascontiguousarray(Q.conj().T)
     w, wb, y = quad.weights, quad.weights * b, quad.nodes.imag
@@ -196,14 +181,14 @@ def compute_bands(
     A_m = np.empty((M + 1, d * d), dtype=complex)
     G_m = np.empty((M + 1, d * d), dtype=complex)
     work = np.empty_like(Qh)
-    A_m[0] = _compress(Qh, wb, Q, work).ravel()  # T_0 = 1
+    A_m[0] = compress(Qh, wb, Q, work).ravel()  # T_0 = 1
     if M:  # Y > 0 here; M = 0 covers all-real nodes (n_t = n_strip = 1)
-        G_m[0] = _compress(Qh, w, Q, work).ravel()
+        G_m[0] = compress(Qh, w, Q, work).ravel()
         x = y / Y
         T_prev, T = 1.0, x
         for m in range(1, M + 1):
-            A_m[m] = _compress(Qh, wb * T, Q, work).ravel()
-            G_m[m] = _compress(Qh, w * T, Q, work).ravel()
+            A_m[m] = compress(Qh, wb * T, Q, work).ravel()
+            G_m[m] = compress(Qh, w * T, Q, work).ravel()
             T_prev, T = T, 2.0 * x * T - T_prev
 
     lambdas = np.empty((etas.size, N_keep))
@@ -219,7 +204,6 @@ def compute_bands(
         cell=cell,
         profile=profile,
         K_modes=K_modes,
-        cutoff=cutoff,
         dim_eff=(basis.dim_eff,) * etas.size,
     )
 
@@ -331,34 +315,30 @@ def h_convergence_study(
     n_track: int = 3,
     R0: float = 0.35,
     K_modes: int = 10,
-    cutoff: float = DEFAULT_CUTOFF,
-    n_r: int = 24,
-    n_t: int = 48,
-    n_strip: int = 16,
 ) -> list[dict]:
     """Track fiber eigenvalues against the disc oracle along decreasing h.
 
-    Returns one row per h: {"h", "lambdas", "errors"} where errors[n] is
-    the distance of the n-th fiber eigenvalue (modulus order) to the n-th
-    disc oracle eigenvalue.
+    Returns one row per h: {"h", "lambdas", "errors"} where lambdas are
+    the n_track fiber eigenvalues of largest modulus and errors[n] is the
+    distance of lambdas[n] to the nearest of the N_SCAN disc oracle
+    eigenvalues.  Pairing by modulus rank would never converge when targets
+    +x and -x share a modulus: the fiber and the oracle may order them
+    differently.
     """
     hs = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_list must be strictly decreasing")
-    oracle = np.array(compute_disc_spectrum(profile, N_kept=n_track).eigenvalues)
+    oracle = np.array(compute_disc_spectrum(profile, N_kept=N_SCAN).eigenvalues)
     rows = []
     for h in hs:
         cell = CellGeometry(R0=R0, h=h)
-        bands = compute_bands(
-            cell, profile, [eta], K_modes=K_modes, cutoff=cutoff,
-            N_keep=n_track, n_r=n_r, n_t=n_t, n_strip=n_strip,
-        )
+        bands = compute_bands(cell, profile, [eta], K_modes=K_modes, N_keep=n_track)
         lams = bands.lambdas[0]
         rows.append(
             {
                 "h": h,
                 "lambdas": lams.tolist(),
-                "errors": np.abs(lams - oracle).tolist(),
+                "errors": np.abs(lams[:, None] - oracle).min(axis=1).tolist(),
             }
         )
     return rows

@@ -26,10 +26,10 @@ from .symbols import (
 )
 from .disc_spectrum import compute_disc_spectrum
 from .quasi_bergman import DegenerateBasisError
-from .band_solver import compute_bands, h_convergence_study
+from .band_solver import h_convergence_study
 from .floquet import CellField, floquet_forward, floquet_inverse, field_norm, floquet_norm
 from .conformal import identity_pair, rotation_pair, moebius_pair, transplant
-from .pipeline import RunConfig, RunResult, run_prescribed_spectrum
+from .pipeline import RunConfig, RunResult, config_bands, run_prescribed_spectrum
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -94,13 +94,7 @@ def _bands_rows(bands):
 def cmd_bands(args) -> int:
     cfg = _load_config(args)
     profile = synthesize_profile(cfg.targets)
-    cell = CellGeometry(R0=cfg.R0, h=args.h if args.h is not None else cfg.h_initial)
-    etas = np.linspace(-np.pi, np.pi, cfg.eta_points)
-    bands = compute_bands(
-        cell, profile, etas,
-        K_modes=cfg.K_modes, cutoff=cfg.cutoff, N_keep=cfg.N_keep,
-        n_r=cfg.n_r, n_t=cfg.n_t, n_strip=cfg.n_strip,
-    )
+    bands = config_bands(cfg, profile, args.h if args.h is not None else cfg.h_initial)
     out = args.out or cfg.bands_csv or "bands.csv"
     _write_csv(out, ["eta", "n", "lambda"], _bands_rows(bands))
     return EXIT_OK
@@ -276,6 +270,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a problem size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

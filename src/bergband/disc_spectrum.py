@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import QuadratureRule
+from .geometry import QuadratureRule, compress
 from .symbols import RadialProfile
 
 __all__ = [
@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 ZERO_CLUSTER_TOL = 1e-14
+# Taylor indices scanned for the spectrum: the moments of a profile
+# supported in [0, 1/2] decay like 4^{-n}, so anything beyond a few dozen
+# indices is far below double precision.
+N_SCAN = 128
 
 
 @dataclass(frozen=True)
@@ -44,21 +48,14 @@ class DiscSpectrum:
             raise ValueError("eigenvalues must be ordered by decreasing modulus")
 
 
-def moment_eigenvalue(
-    profile: RadialProfile,
-    n: int,
-    moment_constant: str = "corrected",
-) -> float:
+def moment_eigenvalue(profile: RadialProfile, n: int) -> float:
     """n-th Taylor-coefficient eigenvalue of the Toeplitz operator T_b.
 
     Closed form of  2 (n+1) * integral_0^s b(r) r^{2n+1} dr  for the
     polynomial profile with support radius s.  The normalization 2(n+1)
     is fixed by the identity symbol: a == 1 gives T_a = I, hence every
-    eigenvalue must equal 1, and indeed 2(n+1) * 1/(2n+2) = 1.
-
-    ``moment_constant="literal"`` switches to the (n+1)/pi normalization
-    (which fails the identity check by the factor 2 pi); it is kept only
-    so the two conventions can be compared explicitly.
+    eigenvalue must equal 1, and indeed 2(n+1) * 1/(2n+2) = 1, where the
+    (n+1)/pi of the literal moment formula would give 1/(2 pi).
     """
     if n < 0:
         raise ValueError(f"eigenvalue index must be >= 0, got {n}")
@@ -66,30 +63,19 @@ def moment_eigenvalue(
     integral = profile.constant_term * s ** (2 * n + 2) / (2 * n + 2)
     for m, c in enumerate(profile.coeffs, start=1):
         integral += c * s ** (2 * n + 2 * m + 3) / (2 * n + 2 * m + 3)
-    if moment_constant == "corrected":
-        return 2.0 * (n + 1) * integral
-    if moment_constant == "literal":
-        return (n + 1) / np.pi * integral
-    raise ValueError(f"unknown moment_constant {moment_constant!r}")
+    return 2.0 * (n + 1) * integral
 
 
-def compute_disc_spectrum(
-    profile: RadialProfile,
-    N_kept: int = 32,
-    n_scan: int = 128,
-    moment_constant: str = "corrected",
-) -> DiscSpectrum:
+def compute_disc_spectrum(profile: RadialProfile, N_kept: int = 32) -> DiscSpectrum:
     """Top ``N_kept`` eigenvalues by modulus.
 
-    Scans Taylor indices 0..n_scan-1, which is ample: the moments of a
-    profile supported in [0, 1/2] decay like 4^{-n}, so anything beyond a
-    few dozen indices is far below double precision.  Values below 1e-14
-    in modulus are reported as an exact 0-cluster (0 is the only
-    accumulation point of the spectrum).
+    Scans Taylor indices 0..N_SCAN-1.  Values below 1e-14 in modulus are
+    reported as an exact 0-cluster (0 is the only accumulation point of
+    the spectrum).
     """
-    lams = [moment_eigenvalue(profile, n, moment_constant) for n in range(n_scan)]
+    lams = [moment_eigenvalue(profile, n) for n in range(N_SCAN)]
     # Decreasing |lambda|; ties broken by decreasing signed value, then index.
-    order = sorted(range(n_scan), key=lambda i: (-abs(lams[i]), -lams[i], i))
+    order = sorted(range(N_SCAN), key=lambda i: (-abs(lams[i]), -lams[i], i))
     kept = [lams[i] if abs(lams[i]) > ZERO_CLUSTER_TOL else 0.0 for i in order[:N_kept]]
     return DiscSpectrum(eigenvalues=tuple(kept), N_kept=N_kept)
 
@@ -108,13 +94,11 @@ def monomial_galerkin_matrix(
     """Galerkin matrix of multiplication by a symbol in the normalized
     monomials z^n / ||z^n||, n < N, of the disc of radius R, given the
     symbol's ``values`` at the quadrature nodes."""
-    z, w = quad.nodes, quad.weights
-    v = np.asarray(values, dtype=complex)
+    z = quad.nodes
     cols = np.empty((z.size, N), dtype=complex)
     for n in range(N):
         cols[:, n] = z**n / _monomial_norm(R, n)
-    M = cols.conj().T @ (w[:, None] * v[:, None] * cols)
-    return 0.5 * (M + M.conj().T)
+    return compress(np.ascontiguousarray(cols.conj().T), quad.weights * values, cols)
 
 
 def disc_galerkin_matrix(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -29,7 +29,13 @@ from .band_solver import (
     gap_report,
 )
 
-__all__ = ["RunConfig", "RunResult", "run_prescribed_spectrum", "choose_gap_index"]
+__all__ = [
+    "RunConfig",
+    "RunResult",
+    "run_prescribed_spectrum",
+    "config_bands",
+    "choose_gap_index",
+]
 
 
 def _is_number(value) -> bool:
@@ -62,7 +68,6 @@ class RunConfig:
     R0: float = 0.35
     eta_points: int = 65
     K_modes: int = 10
-    cutoff: float = 1e-12
     h_initial: float = 0.1
     h_min: float = 1e-3
     N_keep: int = 8
@@ -77,7 +82,7 @@ class RunConfig:
         object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
         if not all(np.isfinite(self.targets)):
             raise ValueError(f"targets must be finite, got {list(self.targets)}")
-        if self.epsilon <= 0.0:
+        if not (self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.delta_override is not None and not (0.0 < self.delta_override < np.inf):
             raise ValueError(
@@ -85,22 +90,20 @@ class RunConfig:
             )
         if not (0.25 < self.R0 < 0.5):
             raise ValueError(f"R0 must be in (1/4, 1/2), got {self.R0}")
-        if not (0.0 <= self.cutoff < 1.0):
-            raise ValueError(f"cutoff must be in [0, 1), got {self.cutoff}")
-        if self.h_initial > 0.1:
-            raise ValueError(f"h_initial must be <= 0.1, got {self.h_initial}")
+        if not (0.0 < self.h_initial <= 0.1):
+            raise ValueError(f"h_initial must be in (0, 0.1], got {self.h_initial}")
         if not (0.0 < self.h_min <= self.h_initial):
             raise ValueError(
                 f"h_min must be in (0, h_initial={self.h_initial}], got {self.h_min}"
             )
-        if self.K_modes < 0:
+        if not (self.K_modes >= 0):
             raise ValueError(f"K_modes must be >= 0, got {self.K_modes}")
-        if self.N_keep < 1:
+        if not (self.N_keep >= 1):
             raise ValueError(f"N_keep must be >= 1, got {self.N_keep}")
         for name in ("n_r", "n_t", "n_strip"):
-            if getattr(self, name) < 1:
+            if not (getattr(self, name) >= 1):
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.eta_points < 3 or self.eta_points % 2 == 0:
+        if not (self.eta_points >= 3 and self.eta_points % 2 == 1):
             raise ValueError(f"eta_points must be odd and >= 3, got {self.eta_points}")
 
     @classmethod
@@ -149,6 +152,21 @@ def choose_gap_index(spec: DiscSpectrum, targets: tuple[float, ...]) -> int:
     return max(hit) + 1 if hit else 1
 
 
+def config_bands(config: RunConfig, profile: RadialProfile, h: float) -> BandStructure:
+    """Band structure of ``profile`` over the configured eta grid, basis
+    and quadrature, on the cell of ligament half-width ``h``."""
+    return compute_bands(
+        CellGeometry(R0=config.R0, h=h),
+        profile,
+        np.linspace(-np.pi, np.pi, config.eta_points),
+        K_modes=config.K_modes,
+        N_keep=config.N_keep,
+        n_r=config.n_r,
+        n_t=config.n_t,
+        n_strip=config.n_strip,
+    )
+
+
 def run_prescribed_spectrum(config: RunConfig) -> RunResult:
     """Synthesize, then halve h until the gap report passes or h_min is hit.
 
@@ -195,23 +213,11 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
         diagnostics["epsilon_effective"] = epsilon
     tspec = TargetSpec(targets=config.targets, epsilon=epsilon, delta=delta)
 
-    etas = np.linspace(-np.pi, np.pi, config.eta_points)
     h = config.h_initial
     bands: BandStructure | None = None
     report: SpectrumReport | None = None
     while h >= config.h_min:
-        cell = CellGeometry(R0=config.R0, h=h)
-        bands = compute_bands(
-            cell,
-            profile,
-            etas,
-            K_modes=config.K_modes,
-            cutoff=config.cutoff,
-            N_keep=config.N_keep,
-            n_r=config.n_r,
-            n_t=config.n_t,
-            n_strip=config.n_strip,
-        )
+        bands = config_bands(config, profile, h)
         components = essential_spectrum(bands, zero_tol=delta / 2.0)
         report = gap_report(components, tspec)
         dists = [hd["distance"] for hd in report.target_hits]

@@ -20,7 +20,7 @@ A single classical pass can lose orthogonality in proportion to the
 condition of the candidates, but a second pass restores it to the level of
 the unit roundoff whenever the candidate is numerically independent of the
 accepted columns ("twice is enough": Giraud, Langou and Rozloznik, Comput.
-Math. Appl. 50 (2005) 1069-1075); dependent candidates are what the cutoff
+Math. Appl. 50 (2005) 1069-1075); dependent candidates are what ``CUTOFF``
 rejects.
 
 Every basis column also carries its expansion over the raw modes, so
@@ -49,7 +49,9 @@ __all__ = [
     "projector_distance",
 ]
 
-DEFAULT_CUTOFF = 1e-12
+# A candidate whose orthogonal remainder is below this fraction of its norm
+# is numerically dependent: double precision cannot resolve it further.
+CUTOFF = 1e-12
 
 
 class DegenerateBasisError(RuntimeError):
@@ -111,7 +113,6 @@ def build_basis(
     eta: float,
     K_modes: int,
     quad: QuadratureRule,
-    cutoff: float = DEFAULT_CUTOFF,
 ) -> TwistedBasis:
     """Orthonormalize the twisted Laurent family at the quadrature nodes.
 
@@ -121,7 +122,7 @@ def build_basis(
     Gram-Schmidt done twice (CGS2): each pass subtracts the candidate's
     block projection Q Q^H W cand onto all accepted columns at once, and the
     second pass removes what the first left behind.  A candidate whose
-    orthogonal remainder is below ``cutoff`` relative to its pre-projection
+    orthogonal remainder is below ``CUTOFF`` relative to its pre-projection
     norm is numerically dependent and is discarded (and its chain stops,
     since further multiples would inherit the dependency).
     """
@@ -160,7 +161,7 @@ def build_basis(
                 cand -= proj @ Qt[:m]
                 ccoef -= proj @ C[:m]
             post = wnorm(cand)
-            if post <= cutoff * pre:
+            if post <= CUTOFF * pre:
                 head[s] = -1
                 continue
             Qt[m] = cand / post

@@ -31,6 +31,7 @@ __all__ = [
 
 MAX_TARGETS = 8
 GRAM_COND_LIMIT = 1e12
+SUP_NORM_SAMPLES = 4001
 
 
 class IllConditionedError(ValueError):
@@ -80,9 +81,9 @@ class RadialProfile:
         val = np.where(r <= self.support, val, 0.0)
         return float(val) if val.ndim == 0 else val
 
-    def sup_norm(self, n_samples: int = 4001) -> float:
+    def sup_norm(self) -> float:
         """sup |b| over [0, support] by dense sampling (b is a polynomial)."""
-        r = np.linspace(0.0, self.support, n_samples)
+        r = np.linspace(0.0, self.support, SUP_NORM_SAMPLES)
         return float(np.max(np.abs(self(r))))
 
 
@@ -113,16 +114,11 @@ def _gram_matrix(K: int) -> np.ndarray:
     return 0.5 ** (2 * p + 3) / (2 * p + 3)
 
 
-def synthesize_profile(
-    targets,
-    moment_constant: str = "corrected",
-) -> RadialProfile:
+def synthesize_profile(targets) -> RadialProfile:
     """Solve the moment system so that the n-th disc eigenvalue hits targets[n-1].
 
-    The K x K Gram system G c = rhs uses rhs_n = x_n / (2 (n+1)) under the
-    corrected moment normalization (see ``disc_spectrum.moment_eigenvalue``);
-    with ``moment_constant="literal"`` the right-hand side becomes
-    pi x_n / (n+1) instead, which only rescales the profile.
+    The K x K Gram system G c = rhs uses rhs_n = x_n / (2 (n+1)), the
+    moment normalization of ``disc_spectrum.moment_eigenvalue``.
 
     Raises
     ------
@@ -144,13 +140,7 @@ def synthesize_profile(
         raise IllConditionedError(condition=cond, limit=GRAM_COND_LIMIT)
 
     n = np.arange(1, K + 1)
-    if moment_constant == "corrected":
-        rhs = x / (2.0 * (n + 1))
-    elif moment_constant == "literal":
-        rhs = np.pi * x / (n + 1)
-    else:
-        raise ValueError(f"unknown moment_constant {moment_constant!r}")
-    c = np.linalg.solve(G, rhs)
+    c = np.linalg.solve(G, x / (2.0 * (n + 1)))
     return RadialProfile(coeffs=tuple(c))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bergband.geometry import CellGeometry, build_cell_quadrature
-from bergband.symbols import RadialProfile, TargetSpec
+from bergband.symbols import RadialProfile, TargetSpec, synthesize_profile
 from bergband.disc_spectrum import compute_disc_spectrum
 from bergband.quasi_bergman import build_basis
 from bergband.band_solver import (
@@ -212,6 +212,14 @@ class TestHConvergence:
         oracle = compute_disc_spectrum(k3_profile).eigenvalues[4]
         rows = h_convergence_study(k3_profile, [0.05], eta=0.0, n_track=5, K_modes=8)
         assert rows[0]["lambdas"][4] == pytest.approx(oracle, abs=0.02)
+
+    def test_opposite_targets_converge(self):
+        # +0.2 and -0.2 share a modulus, so the fiber and the disc oracle
+        # may rank them differently; each error is to the nearest oracle value.
+        profile = synthesize_profile([0.2, -0.2, 0.1])
+        row = h_convergence_study(profile, [0.005], eta=0.0)[0]
+        assert sorted(row["lambdas"][1:]) == pytest.approx([-0.2, 0.2], abs=0.01)
+        assert max(row["errors"][1:]) < 0.01
 
     def test_non_decreasing_h_rejected(self, k3_profile):
         with pytest.raises(ValueError):

@@ -180,6 +180,15 @@ class TestRunAndReport:
         assert len(err) == 1 and err[0].startswith("error:")
         assert field in err[0]
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_unallocatable_config_usage_error(self, tmp_path, capsys, command):
+        # the basis buffer would take 8 PiB, so the allocation fails at once
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**VALID_DOC, "K_modes": 100_000_000_000}))
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory")
+
 
 class TestChecks:
     def test_floquet_check(self, capsys):

@@ -19,14 +19,6 @@ class TestMomentEigenvalue:
         for n in range(21):
             assert moment_eigenvalue(unit, n) == pytest.approx(1.0, abs=1e-12)
 
-    def test_literal_constant_misses_identity(self):
-        # The (n+1)/pi normalization gives 1/(2 pi) on the unit symbol --
-        # this is exactly why the corrected constant is the default.
-        unit = RadialProfile.unit()
-        assert moment_eigenvalue(unit, 0, moment_constant="literal") == pytest.approx(
-            1.0 / (2.0 * np.pi), rel=1e-12
-        )
-
     def test_synthesis_round_trip(self):
         profile = synthesize_profile([0.1])
         assert moment_eigenvalue(profile, 1) == pytest.approx(0.1, abs=1e-12)

@@ -67,6 +67,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(targets=(0.1,), **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon", float("nan")),
+            ("h_initial", -0.5),
+            ("h_initial", 0.0),
+            ("h_initial", float("nan")),
+        ],
+    )
+    def test_range_check_names_the_field(self, field, value):
+        # NaN fails every range check, and the message leads with the bad field
+        with pytest.raises(ValueError, match=f"^{field}"):
+            RunConfig(targets=(0.1,), **{field: value})
+
     @given(_CONFIG_DOCS)
     @settings(max_examples=300, deadline=None)
     def test_from_json_config_or_value_error(self, doc):

@@ -3,7 +3,7 @@ import pytest
 
 from bergband.geometry import build_cell_quadrature
 from bergband.quasi_bergman import (
-    DEFAULT_CUTOFF,
+    CUTOFF,
     TwistedBasis,
     raw_mode,
     build_basis,
@@ -13,7 +13,7 @@ from bergband.quasi_bergman import (
 )
 
 
-def mgs_reference_basis(cell, eta, K_modes, quad, cutoff=DEFAULT_CUTOFF):
+def mgs_reference_basis(cell, eta, K_modes, quad):
     """build_basis written as per-pair, twice-iterated modified Gram-Schmidt:
     the same chains, coefficient shifts and cutoff rule, one inner product at
     a time."""
@@ -41,7 +41,7 @@ def mgs_reference_basis(cell, eta, K_modes, quad, cutoff=DEFAULT_CUTOFF):
                     cand = cand - proj * q
                     ccoef = ccoef - proj * qc
             post = np.sqrt(wip(cand, cand).real)
-            if post <= cutoff * pre:
+            if post <= CUTOFF * pre:
                 head[s] = -1
                 continue
             cols.append(cand / post)

@@ -56,13 +56,6 @@ class TestSynthesis:
         except IllConditionedError as exc:
             assert exc.condition > exc.limit
 
-    def test_literal_constant_rescales(self):
-        corrected = synthesize_profile([0.1])
-        literal = synthesize_profile([0.1], moment_constant="literal")
-        # Same direction, different scale: literal rhs is pi x/(n+1) vs x/(2(n+1)).
-        ratio = literal.coeffs[0] / corrected.coeffs[0]
-        assert ratio == pytest.approx(2.0 * np.pi, rel=1e-12)
-
     @given(
         st.lists(
             st.floats(min_value=-0.9, max_value=0.9).filter(lambda x: abs(x) > 1e-3),
