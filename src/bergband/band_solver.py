@@ -84,8 +84,7 @@ def toeplitz_matrix(
     if basis.cell != cell:
         raise ValueError("basis was built for a different cell geometry")
     b = eval_cell_symbol(profile, cell, basis.quad.nodes)
-    Qh = np.ascontiguousarray(basis.Q.conj().T)
-    return compress(Qh, basis.quad.weights * b, basis.Q)
+    return compress(basis.quad.weights * b, basis.Q)
 
 
 def _band_eigenvalues(A: np.ndarray, N_keep: int) -> np.ndarray:
@@ -123,6 +122,63 @@ def _chebyshev_points(M: int) -> tuple[np.ndarray, np.ndarray]:
     return x, T
 
 
+# Nodes per product in _chebyshev_moments.  Its Khatri-Rao block is
+# d (d + 1) / 2 x _MOMENT_CHUNK complex: 4.6 MB at d = 33.
+_MOMENT_CHUNK = 512
+
+
+def _chebyshev_moments(
+    Q: np.ndarray, w: np.ndarray, b: np.ndarray, x: np.ndarray, M: int
+) -> np.ndarray:
+    """The 2 (M + 1) moments Q^H diag(v) Q of compute_bands, M >= 1, for the
+    weight rows v = w b T_m(x), m = 0..M, then v = w T_m(x), m = 0..M,
+    returned as the rows of a 2 (M + 1) x d^2 array, each a flattened d x d
+    matrix.
+
+    Entry (k, l) of every moment is sum_j v_j conj(Q[j, k]) Q[j, l], so all
+    of them are one product of the stacked real weight rows with the
+    Khatri-Rao rows P[(k, l), j] = conj(Q[j, k]) Q[j, l].  The moments are
+    Hermitian, so P holds the upper triangle k <= l only and the lower one
+    is mirrored; the imaginary parts of the diagonal, rounding residue of
+    the fused complex products, are set to zero.  The nodes are taken
+    _MOMENT_CHUNK at a time, so that P, the weight rows and the conjugated
+    basis rows stay small: one product per chunk.
+    """
+    Qt = np.ascontiguousarray(Q.T)  # basis columns as rows: chunks are contiguous
+    d, n = Qt.shape
+    rows = 2 * (M + 1)
+    k_idx, l_idx = np.triu_indices(d)
+    upper = np.zeros((rows, k_idx.size), dtype=complex)
+    V = np.empty((rows, _MOMENT_CHUNK))
+    P = np.empty((k_idx.size, _MOMENT_CHUNK), dtype=complex)
+    for start in range(0, n, _MOMENT_CHUNK):
+        nodes = slice(start, start + _MOMENT_CHUNK)
+        q = Qt[:, nodes]
+        size = q.shape[1]
+        v, p = V[:, :size], P[:, :size]
+        # rows M+1.. hold w T_m(x) by the Chebyshev recurrence, rows ..M b times them
+        wT, xc = v[M + 1 :], x[nodes]
+        x2 = 2.0 * xc
+        wT[0] = w[nodes]
+        np.multiply(wT[0], xc, out=wT[1])
+        for m in range(2, M + 1):
+            np.multiply(wT[m - 1], x2, out=wT[m])
+            wT[m] -= wT[m - 2]
+        np.multiply(wT, b[nodes], out=v[: M + 1])
+        qc = q.conj()
+        row = 0
+        for k in range(d):
+            np.multiply(qc[k], q[k:], out=p[row : row + d - k])
+            row += d - k
+        upper += v @ p.T
+    moments = np.empty((rows, d, d), dtype=complex)
+    moments[:, l_idx, k_idx] = upper.conj()
+    moments[:, k_idx, l_idx] = upper
+    moments = moments.reshape(rows, d * d)
+    moments[:, :: d + 1].imag = 0.0
+    return moments
+
+
 def compute_bands(
     cell: CellGeometry,
     profile: RadialProfile,
@@ -152,8 +208,12 @@ def compute_bands(
     with 2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S, S = max |s| over the grid:
     the left side bounds the series tail, and the factor e^-S keeps the
     error at rounding level against the smallest eigenvalue of G, which is
-    at least e^-|s|.  R0 < 1/2 gives S < pi and M <= 22.  A grid whose every
-    point is eta0 has M = 0: one product A_0, with G_0 = I by orthonormality.
+    at least e^-|s|.  R0 < 1/2 gives S < pi and M <= 22.
+
+    All 2 (M + 1) moments come from one product per chunk of nodes, over
+    the upper triangle of the Hermitian moments (_chebyshev_moments).  A
+    grid whose every point is eta0 has M = 0 and keeps its single product
+    A_0 = compress(w b, Q0), with G_0 = I by orthonormality.
     """
     etas = np.asarray(list(eta_grid), dtype=float)
     if etas.size == 0:
@@ -164,9 +224,7 @@ def compute_bands(
     b = eval_cell_symbol(profile, cell, quad.nodes)
     eta0 = 0.5 * (etas.min() + etas.max())
     basis = build_basis(cell, eta0, K_modes, quad)
-    Q = basis.Q
-    Qh = np.ascontiguousarray(Q.conj().T)
-    w, wb, y = quad.weights, quad.weights * b, quad.nodes.imag
+    w, y = quad.weights, quad.nodes.imag
 
     Y = max(y.max(), -y.min())
     s = -2.0 * (etas - eta0) * Y
@@ -177,19 +235,12 @@ def compute_bands(
     c = np.exp(np.outer(s, x_cheb)) @ T_cheb * (2.0 / (M + 1))
     c[:, 0] *= 0.5
     d = basis.dim_eff
-    # moment m is row m, flattened, so a fiber's combination is one product
-    A_m = np.empty((M + 1, d * d), dtype=complex)
-    G_m = np.empty((M + 1, d * d), dtype=complex)
-    work = np.empty_like(Qh)
-    A_m[0] = compress(Qh, wb, Q, work).ravel()  # T_0 = 1
-    if M:  # Y > 0 here; M = 0 covers all-real nodes (n_t = n_strip = 1)
-        G_m[0] = compress(Qh, w, Q, work).ravel()
-        x = y / Y
-        T_prev, T = 1.0, x
-        for m in range(1, M + 1):
-            A_m[m] = compress(Qh, wb * T, Q, work).ravel()
-            G_m[m] = compress(Qh, w * T, Q, work).ravel()
-            T_prev, T = T, 2.0 * x * T - T_prev
+    # moment m is row m, flattened, so a fiber's combination is one product;
+    # M = 0 when every s is 0: a single-eta grid, or all-real nodes (Y = 0)
+    if M:
+        A_m, G_m = np.split(_chebyshev_moments(basis.Q, w, b, y / Y, M), 2)
+    else:
+        A_m = compress(w * b, basis.Q).reshape(1, d * d)  # T_0 = 1, G_0 = I
 
     lambdas = np.empty((etas.size, N_keep))
     for i in range(etas.size):

@@ -67,12 +67,14 @@ def moment_eigenvalue(profile: RadialProfile, n: int) -> float:
 
 
 def compute_disc_spectrum(profile: RadialProfile, N_kept: int = 32) -> DiscSpectrum:
-    """Top ``N_kept`` eigenvalues by modulus.
+    """Top ``N_kept`` eigenvalues by modulus, 1 <= N_kept <= N_SCAN.
 
     Scans Taylor indices 0..N_SCAN-1.  Values below 1e-14 in modulus are
     reported as an exact 0-cluster (0 is the only accumulation point of
     the spectrum).
     """
+    if not (1 <= N_kept <= N_SCAN):
+        raise ValueError(f"N_kept must be in [1, {N_SCAN}], got {N_kept}")
     lams = [moment_eigenvalue(profile, n) for n in range(N_SCAN)]
     # Decreasing |lambda|; ties broken by decreasing signed value, then index.
     order = sorted(range(N_SCAN), key=lambda i: (-abs(lams[i]), -lams[i], i))
@@ -98,7 +100,7 @@ def monomial_galerkin_matrix(
     cols = np.empty((z.size, N), dtype=complex)
     for n in range(N):
         cols[:, n] = z**n / _monomial_norm(R, n)
-    return compress(np.ascontiguousarray(cols.conj().T), quad.weights * values, cols)
+    return compress(quad.weights * values, cols)
 
 
 def disc_galerkin_matrix(

@@ -186,17 +186,14 @@ def build_cell_quadrature(
     return QuadratureRule(np.concatenate(node_parts), np.concatenate(weight_parts))
 
 
-def compress(
-    Qh: np.ndarray, weights: np.ndarray, Q: np.ndarray, work: np.ndarray | None = None
-) -> np.ndarray:
+def compress(weights: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Galerkin matrix Q^H diag(weights) Q of the columns of Q sampled at
     quadrature nodes, symmetrized to remove the last-bit Hermiticity error
-    of floating summation.  ``Qh`` is Q's conjugate transpose, passed
-    C-contiguous: BLAS multiplies a transposed view about three times slower.
-    ``work``, shaped like Qh, receives the weighted copy, so that a sweep
-    reuses one buffer instead of allocating an n x d array per product.
+    of floating summation.  The weighted factor is Q's conjugate transpose
+    made C-contiguous: BLAS multiplies a transposed view about three times
+    slower.
     """
-    M = np.multiply(Qh, weights, out=work) @ Q
+    M = np.multiply(np.ascontiguousarray(Q.conj().T), weights) @ Q
     return 0.5 * (M + M.conj().T)
 
 

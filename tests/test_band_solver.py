@@ -1,9 +1,12 @@
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
-from bergband.geometry import CellGeometry, build_cell_quadrature
+from bergband import band_solver
+from bergband.geometry import CellGeometry, build_cell_quadrature, compress
+from bergband.pipeline import RunConfig
 from bergband.symbols import RadialProfile, TargetSpec, synthesize_profile
 from bergband.disc_spectrum import compute_disc_spectrum
 from bergband.quasi_bergman import build_basis
@@ -126,6 +129,47 @@ class TestComputeBands:
     def test_empty_grid_rejected(self, k3_profile):
         with pytest.raises(ValueError):
             compute_bands(CellGeometry(0.35, 0.05), k3_profile, [])
+
+
+class TestChebyshevMoments:
+    @pytest.mark.parametrize(
+        "n",
+        [
+            10,  # the n_r 4, n_t 1, n_strip 1 rule: below one chunk
+            2 * band_solver._MOMENT_CHUNK,
+            2816,  # the default rule: a partial last chunk
+        ],
+        ids=["below-chunk", "chunk-multiple", "default-rule"],
+    )
+    @pytest.mark.parametrize("M", [1, 6])
+    def test_matches_per_row_compress(self, rng, n, M):
+        d = min(n, 9)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+        w = rng.uniform(0.5, 1.5, n)
+        b = rng.uniform(-1.0, 1.0, n)
+        x = rng.uniform(-1.0, 1.0, n)
+        moments = band_solver._chebyshev_moments(Q, w, b, x, M)
+
+        T = np.polynomial.chebyshev.chebvander(x, M).T
+        ref = np.array(
+            [compress(w * b * Tm, Q).ravel() for Tm in T]
+            + [compress(w * Tm, Q).ravel() for Tm in T]
+        )
+        assert moments.shape == ref.shape
+        assert np.max(np.abs(moments - ref)) <= 1e-13 * np.max(np.abs(ref))
+        stack = moments.reshape(-1, d, d)
+        assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
+        assert np.all(np.diagonal(stack, axis1=1, axis2=2).imag == 0.0)
+
+    def test_chunk_is_no_option(self):
+        # the chunk size is an implementation constant, not a setting
+        assert list(inspect.signature(compute_bands).parameters) == [
+            "cell", "profile", "eta_grid", "K_modes", "N_keep", "n_r", "n_t", "n_strip",
+        ]
+        assert [p.default for p in inspect.signature(compute_bands).parameters.values()][3:] == [
+            10, 8, 24, 48, 16,
+        ]
+        assert not any("chunk" in name.lower() for name in RunConfig.__dataclass_fields__)
 
 
 class TestEssentialSpectrum:

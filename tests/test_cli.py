@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bergband.cli import main, EXIT_OK, EXIT_VERDICT_FAIL, EXIT_USAGE, EXIT_NUMERICAL
+from bergband.pipeline import RunConfig
 
 
 @pytest.fixture()
@@ -72,6 +75,15 @@ class TestDiscSpec:
         assert main(["disc-spec", "--profile", str(prof), "--out", str(out)]) == EXIT_OK
         _, rows = read_csv(out)
         assert float(rows[1][1]) == pytest.approx(0.1, abs=1e-10)
+
+    @pytest.mark.parametrize("n", ["200", "-3", "0"])
+    def test_count_beyond_scan_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "spec.csv"
+        code = main(["disc-spec", "--targets", "0.3,0.2,0.1", "--n", n, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: N_kept")
+        assert not out.exists()
 
 
 class TestBands:
@@ -231,3 +243,63 @@ class TestChecks:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == EXIT_USAGE
+
+
+_OUTPUT_FIELDS = ("bands_csv", "report_json", "diagnostics_json")
+# Values no field accepts, or accepts only out of range: wrong JSON types,
+# NaN and infinities, zero, negatives, fractions and an even eta_points.
+# Nothing here is a large in-range size, so no draw runs for long.
+_WRONG = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.lists(st.none(), max_size=1),
+    st.just({}),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -1, 0, -0.5, 0.5, 1.5, 2]),
+)
+# Small in-range values, sized so that a whole h-loop takes milliseconds.
+_IN_RANGE = {
+    "targets": st.lists(st.floats(-0.5, 0.5), max_size=3),
+    "epsilon": st.floats(1e-3, 0.1),
+    "delta_override": st.none() | st.floats(1e-3, 0.1),
+    "R0": st.floats(0.26, 0.49),
+    "eta_points": st.sampled_from([3, 5]),
+    "K_modes": st.integers(0, 4),
+    "h_initial": st.floats(0.01, 0.1),
+    "h_min": st.floats(0.005, 0.1),
+    "N_keep": st.integers(1, 8),
+    "n_r": st.integers(1, 8),
+    "n_t": st.integers(1, 16),
+    "n_strip": st.integers(1, 6),
+    **{name: st.sampled_from([None, "out", "", "missing/out"]) for name in _OUTPUT_FIELDS},
+}
+assert set(_IN_RANGE) == set(RunConfig.__dataclass_fields__)
+_RUN_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {"targets": _IN_RANGE["targets"]},
+        optional={name: value for name, value in _IN_RANGE.items() if name != "targets"},
+    ),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            name: value | _WRONG if name in _OUTPUT_FIELDS else value | _WRONG | st.text(max_size=3)
+            for name, value in _IN_RANGE.items()
+        },
+    ),
+    _WRONG,
+)
+
+
+class TestRobustness:
+    @given(_RUN_DOCS)
+    @settings(max_examples=150, deadline=None)
+    def test_run_exits_with_a_code(self, doc):
+        # Any RunConfig-shaped document ends in an exit code, never an exception.
+        with tempfile.TemporaryDirectory() as tmp:
+            if isinstance(doc, dict):
+                for name in _OUTPUT_FIELDS:
+                    if isinstance(doc.get(name), str):
+                        doc[name] = os.path.join(tmp, doc[name])
+            path = os.path.join(tmp, "run.json")
+            Path(path).write_text(json.dumps(doc))
+            code = main(["run", "--config", path])
+        assert code in (EXIT_OK, EXIT_VERDICT_FAIL, EXIT_USAGE, EXIT_NUMERICAL)

@@ -5,6 +5,7 @@ from scipy import integrate
 from bergband.geometry import build_disc_quadrature
 from bergband.symbols import RadialProfile, synthesize_profile
 from bergband.disc_spectrum import (
+    N_SCAN,
     DiscSpectrum,
     moment_eigenvalue,
     compute_disc_spectrum,
@@ -68,6 +69,17 @@ class TestComputeDiscSpectrum:
     def test_zero_cluster(self):
         spec = compute_disc_spectrum(RadialProfile(coeffs=(0.0,)))
         assert set(spec.eigenvalues) == {0.0}
+
+    @pytest.mark.parametrize("N_kept", [0, -3, N_SCAN + 1, 200])
+    def test_count_beyond_scan_rejected(self, k3_profile, N_kept):
+        # only N_SCAN eigenvalues are computed, so no larger count can be kept
+        with pytest.raises(ValueError, match="^N_kept"):
+            compute_disc_spectrum(k3_profile, N_kept=N_kept)
+
+    def test_full_scan_kept(self, k3_profile):
+        spec = compute_disc_spectrum(k3_profile, N_kept=N_SCAN)
+        assert len(spec.eigenvalues) == spec.N_kept == N_SCAN
+        assert spectral_gap(spec, N_SCAN - 1) >= 0.0
 
     def test_invalid_ordering_rejected(self):
         with pytest.raises(ValueError):
