@@ -218,7 +218,7 @@ def compute_bands(
     etas = np.asarray(list(eta_grid), dtype=float)
     if etas.size == 0:
         raise ValueError("eta grid must be nonempty")
-    if np.any(np.abs(etas) > np.pi + 1e-12):
+    if not np.all(np.abs(etas) <= np.pi + 1e-12):  # NaN fails too
         raise ValueError("eta grid must lie within [-pi, pi]")
     quad = build_cell_quadrature(cell, n_r=n_r, n_t=n_t, n_strip=n_strip)
     b = eval_cell_symbol(profile, cell, quad.nodes)

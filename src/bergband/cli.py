@@ -56,6 +56,11 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
             out.close()
 
 
+def _check_count(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
+
+
 def _load_config(args) -> RunConfig:
     return RunConfig.from_json(Path(args.config).read_text())
 
@@ -143,6 +148,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_floquet_check(args) -> int:
+    _check_count("--M", args.M, 0)
+    _check_count("--trials", args.trials, 1)
     rng = np.random.default_rng(args.seed)
     quad = build_cell_quadrature(CellGeometry(R0=0.35, h=0.05), n_r=8, n_t=16, n_strip=6)
     M = args.M
@@ -166,6 +173,7 @@ def cmd_floquet_check(args) -> int:
 
 
 def cmd_study_h(args) -> int:
+    _check_count("--n-track", args.n_track, 1)
     profile = synthesize_profile(_parse_floats(args.targets))
     rows = h_convergence_study(
         profile,
@@ -183,6 +191,7 @@ def cmd_study_h(args) -> int:
 
 
 def cmd_conformal_check(args) -> int:
+    _check_count("--trials", args.trials, 1)
     quad = build_disc_quadrature(1.0, n_r=32, n_t=64)
     rng = np.random.default_rng(7)
     pairs = [identity_pair(), rotation_pair(0.7), moebius_pair(args.alpha)]

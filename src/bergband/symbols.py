@@ -122,12 +122,16 @@ def synthesize_profile(targets) -> RadialProfile:
 
     Raises
     ------
+    ValueError
+        If a target is NaN or infinite.
     IllConditionedError
         If K > 8 or the Gram condition number exceeds 1e12.  The Gram
         matrix is Hilbert-like, so conditioning degrades geometrically
         with K; capping at 8 keeps the solve trustworthy in doubles.
     """
     x = np.asarray(tuple(targets), dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"targets must be finite, got {x.tolist()}")
     K = x.size
     if K == 0:
         return RadialProfile(coeffs=())

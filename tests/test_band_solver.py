@@ -130,6 +130,10 @@ class TestComputeBands:
         with pytest.raises(ValueError):
             compute_bands(CellGeometry(0.35, 0.05), k3_profile, [])
 
+    def test_nan_eta_rejected(self, k3_profile):
+        with pytest.raises(ValueError, match=r"within \[-pi, pi\]"):
+            compute_bands(CellGeometry(0.35, 0.05), k3_profile, [0.0, np.nan])
+
 
 class TestChebyshevMoments:
     @pytest.mark.parametrize(

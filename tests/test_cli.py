@@ -49,6 +49,14 @@ class TestSynth:
         assert doc["coeffs"][0] == pytest.approx(22.4, rel=1e-12)
         assert doc["R0"] == 0.35
 
+    @pytest.mark.parametrize("command", ["synth", "disc-spec"])
+    def test_non_finite_target_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--targets", "nan", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: targets")
+        assert not out.exists()
+
     def test_ill_conditioned_exit_code(self, tmp_path):
         targets = ",".join(str(t) for t in np.linspace(1.0, 0.1, 9))
         assert main(["synth", "--targets", targets]) == EXIT_NUMERICAL
@@ -228,6 +236,27 @@ class TestChecks:
         header, rows = read_csv(out)
         assert header == ["h", "n", "lambda", "error"]
         assert len(rows) == 4
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["floquet-check", "--trials", "0"], "--trials "),
+            (["floquet-check", "--M", "-1"], "--M "),
+            (["conformal-check", "--trials", "0"], "--trials "),
+            (["study-h", "--targets", "0.3", "--h-list", "0.1", "--n-track", "-1"], "--n-track "),
+            (["study-h", "--targets", "0.3", "--h-list", "0.1", "--n-track", "0"], "--n-track "),
+            (["study-h", "--targets", "0.3", "--h-list", "0.1", "--eta", "nan"], "eta grid "),
+        ],
+        ids=[
+            "floquet-trials-0", "floquet-M-neg", "conformal-trials-0",
+            "n-track-neg", "n-track-0", "nan-eta",
+        ],
+    )
+    def test_bad_flag_usage_error(self, capsys, argv, message):
+        # one line that names the offending flag or value
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
     def test_module_entry_point(self):
         src = Path(__file__).resolve().parents[1] / "src"

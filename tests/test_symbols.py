@@ -46,6 +46,11 @@ class TestSynthesis:
     def test_empty_targets(self):
         assert synthesize_profile([]).K == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        with pytest.raises(ValueError, match="targets"):
+            synthesize_profile([0.3, bad])
+
     def test_too_many_targets_rejected(self):
         with pytest.raises(IllConditionedError):
             synthesize_profile(list(np.linspace(1.0, 0.1, 9)))
