@@ -179,15 +179,28 @@ def _chebyshev_moments(
     return moments
 
 
+def _quadrature_orders(K_modes: int, R0: float) -> tuple[int, int, int]:
+    """(n_r, n_t, n_strip) of the cell rule that resolves a basis of K_modes.
+
+    The product of two modes e^{2 pi i k z} on the disc carries angular
+    harmonics up to about 4 pi K R0, and the trapezoidal rule in theta is
+    exact only for harmonics |k| < n_t.  So n_t = max(48, 8 ceil(4 pi K R0 / 8)),
+    n_r = n_t / 2 and n_strip = ceil(n_t / 3); the floor keeps every K <= 10,
+    R0 <= 0.38 geometry on the 24/48/16 rule.
+    """
+    n_t = max(48, 8 * math.ceil(4.0 * math.pi * K_modes * R0 / 8.0))
+    return n_t // 2, n_t, -(-n_t // 3)
+
+
 def compute_bands(
     cell: CellGeometry,
     profile: RadialProfile,
     eta_grid: Sequence[float],
     K_modes: int = 10,
     N_keep: int = 8,
-    n_r: int = 24,
-    n_t: int = 48,
-    n_strip: int = 16,
+    n_r: int | None = None,
+    n_t: int | None = None,
+    n_strip: int | None = None,
 ) -> BandStructure:
     """Band structure over an eta grid from one basis per geometry.
 
@@ -214,12 +227,21 @@ def compute_bands(
     the upper triangle of the Hermitian moments (_chebyshev_moments).  A
     grid whose every point is eta0 has M = 0 and keeps its single product
     A_0 = compress(w b, Q0), with G_0 = I by orthonormality.
+
+    The cell quadrature orders n_r, n_t and n_strip default to None, which
+    derives them from K_modes and cell.R0 (_quadrature_orders): a fixed rule
+    would integrate the products of high modes wrongly once K_modes or R0
+    grows.  An order given explicitly is used as given.
     """
     etas = np.asarray(list(eta_grid), dtype=float)
     if etas.size == 0:
         raise ValueError("eta grid must be nonempty")
     if not np.all(np.abs(etas) <= np.pi + 1e-12):  # NaN fails too
         raise ValueError("eta grid must lie within [-pi, pi]")
+    n_r, n_t, n_strip = (
+        given if given is not None else derived
+        for given, derived in zip((n_r, n_t, n_strip), _quadrature_orders(K_modes, cell.R0))
+    )
     quad = build_cell_quadrature(cell, n_r=n_r, n_t=n_t, n_strip=n_strip)
     b = eval_cell_symbol(profile, cell, quad.nodes)
     eta0 = 0.5 * (etas.min() + etas.max())
@@ -377,6 +399,8 @@ def h_convergence_study(
     differently.
     """
     hs = [float(h) for h in h_list]
+    if not hs:
+        raise ValueError("h_list must be nonempty")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_list must be strictly decreasing")
     oracle = np.array(compute_disc_spectrum(profile, N_kept=N_SCAN).eigenvalues)

@@ -66,6 +66,8 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_synth(args) -> int:
+    if not (0.25 < args.r0 < 0.5):  # NaN fails too
+        raise ValueError(f"--r0 must be in (1/4, 1/2), got {args.r0}")
     profile = synthesize_profile(_parse_floats(args.targets))
     text = profile_to_json(profile, R0=args.r0)
     if args.out:
@@ -281,7 +283,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # a problem size too large to allocate
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print(f"error: out of memory: {str(exc) or 'problem size too large'}", file=sys.stderr)
         return EXIT_USAGE
 
 

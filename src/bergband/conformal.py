@@ -67,7 +67,7 @@ def rotation_pair(theta: float) -> ConformalPair:
 def moebius_pair(alpha: complex) -> ConformalPair:
     """Disc automorphism psi(w) = (w + alpha) / (1 + conj(alpha) w), |alpha| < 1."""
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
+    if not (abs(alpha) < 1.0):  # NaN fails too
         raise ValueError(f"Moebius parameter must satisfy |alpha| < 1, got {alpha}")
     ac = np.conj(alpha)
     fac = 1.0 - abs(alpha) ** 2

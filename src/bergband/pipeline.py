@@ -71,9 +71,6 @@ class RunConfig:
     h_initial: float = 0.1
     h_min: float = 1e-3
     N_keep: int = 8
-    n_r: int = 24
-    n_t: int = 48
-    n_strip: int = 16
     bands_csv: str | None = None
     report_json: str | None = None
     diagnostics_json: str | None = None
@@ -100,9 +97,6 @@ class RunConfig:
             raise ValueError(f"K_modes must be >= 0, got {self.K_modes}")
         if not (self.N_keep >= 1):
             raise ValueError(f"N_keep must be >= 1, got {self.N_keep}")
-        for name in ("n_r", "n_t", "n_strip"):
-            if not (getattr(self, name) >= 1):
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (self.eta_points >= 3 and self.eta_points % 2 == 1):
             raise ValueError(f"eta_points must be odd and >= 3, got {self.eta_points}")
 
@@ -153,17 +147,14 @@ def choose_gap_index(spec: DiscSpectrum, targets: tuple[float, ...]) -> int:
 
 
 def config_bands(config: RunConfig, profile: RadialProfile, h: float) -> BandStructure:
-    """Band structure of ``profile`` over the configured eta grid, basis
-    and quadrature, on the cell of ligament half-width ``h``."""
+    """Band structure of ``profile`` over the configured eta grid and
+    basis, on the cell of ligament half-width ``h``."""
     return compute_bands(
         CellGeometry(R0=config.R0, h=h),
         profile,
         np.linspace(-np.pi, np.pi, config.eta_points),
         K_modes=config.K_modes,
         N_keep=config.N_keep,
-        n_r=config.n_r,
-        n_t=config.n_t,
-        n_strip=config.n_strip,
     )
 
 

@@ -106,7 +106,7 @@ class TestComputeBands:
         }[grid]
         cell = CellGeometry(R0=R0, h=0.02)
         bands = compute_bands(cell, k3_profile, etas, K_modes=K)
-        quad = build_cell_quadrature(cell)
+        quad = build_cell_quadrature(cell, *band_solver._quadrature_orders(K, R0))
         for i, eta in enumerate(etas):
             basis = build_basis(cell, eta, K, quad)
             ev = np.linalg.eigvalsh(toeplitz_matrix(cell, k3_profile, basis))
@@ -125,6 +125,28 @@ class TestComputeBands:
                 n_r=4, n_t=1, n_strip=1,
             )
         assert np.all(bands.lambdas == bands.lambdas[1])
+
+    @pytest.mark.parametrize("K, R0", [(14, 0.35), (10, 0.45)])
+    def test_default_quadrature_resolves_basis(self, k3_profile, K, R0):
+        # the derived rule against twice its orders; the fixed 24/48/16
+        # rule is off by 9.6e-3 and 6.8e-4 here
+        cell = CellGeometry(R0=R0, h=0.05)
+        etas = np.linspace(-np.pi, np.pi, 5)
+        bands = compute_bands(cell, k3_profile, etas, K_modes=K, N_keep=4)
+        n_r, n_t, n_strip = band_solver._quadrature_orders(K, R0)
+        ref = compute_bands(
+            cell, k3_profile, etas, K_modes=K, N_keep=4,
+            n_r=2 * n_r, n_t=2 * n_t, n_strip=2 * n_strip,
+        )
+        assert np.max(np.abs(bands.lambdas - ref.lambdas)) <= 1e-5
+
+    def test_default_quadrature_floor(self, k3_profile):
+        # K 10, R0 0.35 stays on the 24/48/16 rule, bitwise
+        cell = CellGeometry(R0=0.35, h=0.05)
+        etas = np.linspace(-np.pi, np.pi, 9)
+        bands = compute_bands(cell, k3_profile, etas, K_modes=10)
+        fixed = compute_bands(cell, k3_profile, etas, K_modes=10, n_r=24, n_t=48, n_strip=16)
+        assert np.array_equal(bands.lambdas, fixed.lambdas)
 
     def test_empty_grid_rejected(self, k3_profile):
         with pytest.raises(ValueError):
@@ -171,7 +193,7 @@ class TestChebyshevMoments:
             "cell", "profile", "eta_grid", "K_modes", "N_keep", "n_r", "n_t", "n_strip",
         ]
         assert [p.default for p in inspect.signature(compute_bands).parameters.values()][3:] == [
-            10, 8, 24, 48, 16,
+            10, 8, None, None, None,
         ]
         assert not any("chunk" in name.lower() for name in RunConfig.__dataclass_fields__)
 
@@ -272,6 +294,10 @@ class TestHConvergence:
     def test_non_decreasing_h_rejected(self, k3_profile):
         with pytest.raises(ValueError):
             h_convergence_study(k3_profile, [0.05, 0.1], eta=0.0)
+
+    def test_empty_h_list_rejected(self, k3_profile):
+        with pytest.raises(ValueError, match="h_list must be nonempty"):
+            h_convergence_study(k3_profile, [], eta=0.0)
 
 
 class TestAlmostEigenCheck:

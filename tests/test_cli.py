@@ -20,9 +20,6 @@ def run_config_path(tmp_path):
         "targets": [0.3, 0.2, 0.1],
         "epsilon": 0.02,
         "eta_points": 5,
-        "n_r": 24,
-        "n_t": 48,
-        "n_strip": 16,
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
@@ -55,6 +52,14 @@ class TestSynth:
         assert main([command, "--targets", "nan", "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: targets")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r0", ["nan", "5", "0.25", "0.5"])
+    def test_cell_radius_out_of_range_usage_error(self, tmp_path, capsys, r0):
+        out = tmp_path / "profile.json"
+        assert main(["synth", "--targets", "0.3", "--r0", r0, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --r0 ")
         assert not out.exists()
 
     def test_ill_conditioned_exit_code(self, tmp_path):
@@ -136,9 +141,6 @@ class TestRunAndReport:
             "epsilon": 0.0001,
             "eta_points": 3,
             "h_min": 0.06,
-            "n_r": 16,
-            "n_t": 32,
-            "n_strip": 10,
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
@@ -246,10 +248,12 @@ class TestChecks:
             (["study-h", "--targets", "0.3", "--h-list", "0.1", "--n-track", "-1"], "--n-track "),
             (["study-h", "--targets", "0.3", "--h-list", "0.1", "--n-track", "0"], "--n-track "),
             (["study-h", "--targets", "0.3", "--h-list", "0.1", "--eta", "nan"], "eta grid "),
+            (["study-h", "--targets", "0.3", "--h-list", ""], "h_list "),
+            (["conformal-check", "--alpha", "nan", "--trials", "1"], "Moebius parameter "),
         ],
         ids=[
             "floquet-trials-0", "floquet-M-neg", "conformal-trials-0",
-            "n-track-neg", "n-track-0", "nan-eta",
+            "n-track-neg", "n-track-0", "nan-eta", "empty-h-list", "nan-alpha",
         ],
     )
     def test_bad_flag_usage_error(self, capsys, argv, message):
@@ -296,9 +300,6 @@ _IN_RANGE = {
     "h_initial": st.floats(0.01, 0.1),
     "h_min": st.floats(0.005, 0.1),
     "N_keep": st.integers(1, 8),
-    "n_r": st.integers(1, 8),
-    "n_t": st.integers(1, 16),
-    "n_strip": st.integers(1, 6),
     **{name: st.sampled_from([None, "out", "", "missing/out"]) for name in _OUTPUT_FIELDS},
 }
 assert set(_IN_RANGE) == set(RunConfig.__dataclass_fields__)

@@ -60,6 +60,11 @@ class TestPairs:
         with pytest.raises(ValueError):
             moebius_pair(1.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), complex(0.1, float("nan"))])
+    def test_moebius_non_finite_parameter_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            moebius_pair(alpha)
+
 
 class TestTransplant:
     def test_identity_is_identity(self, disc_quad, rng):

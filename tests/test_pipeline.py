@@ -35,9 +35,6 @@ def fast_config():
         eta_points=5,
         K_modes=10,
         N_keep=8,
-        n_r=24,
-        n_t=48,
-        n_strip=16,
     )
 
 
@@ -60,7 +57,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n_r", 0), ("n_t", -1), ("n_strip", 0), ("R0", 0.25), ("R0", 0.5)],
+        [("R0", 0.25), ("R0", 0.5)],
     )
     def test_quadrature_and_cell_fields_rejected(self, field, value):
         # caught at construction, before any synthesis or quadrature runs
@@ -155,9 +152,6 @@ class TestRunPrescribedSpectrum:
             epsilon=0.0001,
             eta_points=3,
             h_min=0.06,  # only h = 0.1 runs; its error far exceeds epsilon
-            n_r=16,
-            n_t=32,
-            n_strip=10,
         )
         result = run_prescribed_spectrum(config)
         assert not result.verdict
