@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CellGeometry, build_cell_quadrature, compress
+from .geometry import CellGeometry, build_cell_quadrature, compress, mirror_half
 from .quasi_bergman import TwistedBasis, build_basis
 from .symbols import RadialProfile, TargetSpec, eval_cell_symbol
 from .disc_spectrum import N_SCAN, compute_disc_spectrum
@@ -122,61 +122,57 @@ def _chebyshev_points(M: int) -> tuple[np.ndarray, np.ndarray]:
     return x, T
 
 
-# Nodes per product in _chebyshev_moments.  Its Khatri-Rao block is
-# d (d + 1) / 2 x _MOMENT_CHUNK complex: 4.6 MB at d = 33.
-_MOMENT_CHUNK = 512
+# Real columns (two per half-rule node) per product in _chebyshev_moments.
+# Its Khatri-Rao block is d (d + 1) / 2 x _MOMENT_CHUNK doubles: 4.6 MB at
+# d = 33.
+_MOMENT_CHUNK = 1024
 
 
 def _chebyshev_moments(
-    Q: np.ndarray, w: np.ndarray, b: np.ndarray, x: np.ndarray, M: int
+    R: np.ndarray, v: np.ndarray, b: np.ndarray, x: np.ndarray, M: int
 ) -> np.ndarray:
-    """The 2 (M + 1) moments Q^H diag(v) Q of compute_bands, M >= 1, for the
-    weight rows v = w b T_m(x), m = 0..M, then v = w T_m(x), m = 0..M,
-    returned as the rows of a 2 (M + 1) x d^2 array, each a flattened d x d
-    matrix.
+    """The 2 (M + 1) real moments R diag(u) R^T of compute_bands, M >= 1,
+    for the weight rows u = v b T_m(x), m = 0..M, then u = v T_m(x),
+    m = 0..M, returned as the rows of a 2 (M + 1) x d^2 array, each a
+    flattened d x d matrix.  R is d x n, its rows the basis columns on the
+    half rule as (re, im) pairs, and v, b, x have one entry per column of R.
 
-    Entry (k, l) of every moment is sum_j v_j conj(Q[j, k]) Q[j, l], so all
-    of them are one product of the stacked real weight rows with the
-    Khatri-Rao rows P[(k, l), j] = conj(Q[j, k]) Q[j, l].  The moments are
-    Hermitian, so P holds the upper triangle k <= l only and the lower one
-    is mirrored; the imaginary parts of the diagonal, rounding residue of
-    the fused complex products, are set to zero.  The nodes are taken
-    _MOMENT_CHUNK at a time, so that P, the weight rows and the conjugated
-    basis rows stay small: one product per chunk.
+    Entry (k, l) of every moment is sum_j u_j R[k, j] R[l, j], so all of
+    them are one product of the stacked weight rows with the Khatri-Rao
+    rows P[(k, l), j] = R[k, j] R[l, j].  The moments are symmetric, so P
+    holds the upper triangle k <= l only and the lower one is mirrored.  The
+    columns are taken _MOMENT_CHUNK at a time, so that P and the weight rows
+    stay small: one product per chunk.
     """
-    Qt = np.ascontiguousarray(Q.T)  # basis columns as rows: chunks are contiguous
-    d, n = Qt.shape
+    d, n = R.shape
     rows = 2 * (M + 1)
     k_idx, l_idx = np.triu_indices(d)
-    upper = np.zeros((rows, k_idx.size), dtype=complex)
-    V = np.empty((rows, _MOMENT_CHUNK))
-    P = np.empty((k_idx.size, _MOMENT_CHUNK), dtype=complex)
+    upper = np.zeros((rows, k_idx.size))
+    U = np.empty((rows, _MOMENT_CHUNK))
+    P = np.empty((k_idx.size, _MOMENT_CHUNK))
     for start in range(0, n, _MOMENT_CHUNK):
-        nodes = slice(start, start + _MOMENT_CHUNK)
-        q = Qt[:, nodes]
+        cols = slice(start, start + _MOMENT_CHUNK)
+        q = R[:, cols]
         size = q.shape[1]
-        v, p = V[:, :size], P[:, :size]
-        # rows M+1.. hold w T_m(x) by the Chebyshev recurrence, rows ..M b times them
-        wT, xc = v[M + 1 :], x[nodes]
+        u, p = U[:, :size], P[:, :size]
+        # rows M+1.. hold v T_m(x) by the Chebyshev recurrence, rows ..M b times them
+        vT, xc = u[M + 1 :], x[cols]
         x2 = 2.0 * xc
-        wT[0] = w[nodes]
-        np.multiply(wT[0], xc, out=wT[1])
+        vT[0] = v[cols]
+        np.multiply(vT[0], xc, out=vT[1])
         for m in range(2, M + 1):
-            np.multiply(wT[m - 1], x2, out=wT[m])
-            wT[m] -= wT[m - 2]
-        np.multiply(wT, b[nodes], out=v[: M + 1])
-        qc = q.conj()
+            np.multiply(vT[m - 1], x2, out=vT[m])
+            vT[m] -= vT[m - 2]
+        np.multiply(vT, b[cols], out=u[: M + 1])
         row = 0
         for k in range(d):
-            np.multiply(qc[k], q[k:], out=p[row : row + d - k])
+            np.multiply(q[k], q[k:], out=p[row : row + d - k])
             row += d - k
-        upper += v @ p.T
-    moments = np.empty((rows, d, d), dtype=complex)
-    moments[:, l_idx, k_idx] = upper.conj()
+        upper += u @ p.T
+    moments = np.empty((rows, d, d))
+    moments[:, l_idx, k_idx] = upper
     moments[:, k_idx, l_idx] = upper
-    moments = moments.reshape(rows, d * d)
-    moments[:, :: d + 1].imag = 0.0
-    return moments
+    return moments.reshape(rows, d * d)
 
 
 def _quadrature_orders(K_modes: int, R0: float) -> tuple[int, int, int]:
@@ -211,7 +207,7 @@ def compute_bands(
     G = Q0^H diag(w t) Q0 and A = Q0^H diag(w b t) Q0, where
     t = |e^{i (eta - eta0) z}|^2 = e^{s x} with x = Im z / Y in [-1, 1],
     Y = max |Im z| over the nodes and s = -2 (eta - eta0) Y.  It is solved
-    as eigvalsh(L^-1 A L^-H) with G = L L^H; cond G <= e^{2 |s|}.
+    as eigvalsh(L^-1 A L^-T) with G = L L^T; cond G <= e^{2 |s|}.
 
     No fiber touches an n-node array.  e^{s x} is entire in x, and its
     Chebyshev series sum_m c_m(s) T_m(x) converges superexponentially
@@ -223,15 +219,22 @@ def compute_bands(
     error at rounding level against the smallest eigenvalue of G, which is
     at least e^-|s|.  R0 < 1/2 gives S < pi and M <= 22.
 
-    All 2 (M + 1) moments come from one product per chunk of nodes, over
-    the upper triangle of the Hermitian moments (_chebyshev_moments).  A
-    grid whose every point is eta0 has M = 0 and keeps its single product
-    A_0 = compress(w b, Q0), with G_0 = I by orthonormality.
+    Every moment is real symmetric.  The cell, the rule, the radial symbol
+    b and x are invariant under the mirror z -> -conj(z), and every column
+    of Q0 obeys q(-conj z) = conj q(z) (build_basis), so each sum over the
+    rule is the real sum over its half (geometry.mirror_half) with the
+    columns' (re, im) pairs as the rows of a real matrix R.  So all moments,
+    Cholesky factors, solves and eigensolves are real.  All 2 (M + 1)
+    moments come from one product per chunk of R's columns, over the upper
+    triangle (_chebyshev_moments).  A grid whose every point is eta0 has
+    M = 0 and keeps its single product A_0 = compress(v b, R^T), with
+    G_0 = I by orthonormality.
 
     The cell quadrature orders n_r, n_t and n_strip default to None, which
     derives them from K_modes and cell.R0 (_quadrature_orders): a fixed rule
     would integrate the products of high modes wrongly once K_modes or R0
-    grows.  An order given explicitly is used as given.
+    grows.  An order given explicitly is used as given; n_t must be even,
+    or the rule has no mirror half (ValueError).
     """
     etas = np.asarray(list(eta_grid), dtype=float)
     if etas.size == 0:
@@ -243,12 +246,16 @@ def compute_bands(
         for given, derived in zip((n_r, n_t, n_strip), _quadrature_orders(K_modes, cell.R0))
     )
     quad = build_cell_quadrature(cell, n_r=n_r, n_t=n_t, n_strip=n_strip)
-    b = eval_cell_symbol(profile, cell, quad.nodes)
+    n_half, v = mirror_half(quad)
+    z = quad.nodes[:n_half]
+    b = np.repeat(eval_cell_symbol(profile, cell, z), 2)
     eta0 = 0.5 * (etas.min() + etas.max())
     basis = build_basis(cell, eta0, K_modes, quad)
-    w, y = quad.weights, quad.nodes.imag
+    # the columns' (re, im) pairs on the half rule as rows: a view, since
+    # build_basis stores the columns of Q as the rows of its buffer
+    R = basis.Q[:n_half].T.view(float)
 
-    Y = max(y.max(), -y.min())
+    Y = max(z.imag.max(), -z.imag.min())
     s = -2.0 * (etas - eta0) * Y
     M = _chebyshev_terms(float(np.abs(s).max()))
     # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
@@ -260,16 +267,17 @@ def compute_bands(
     # moment m is row m, flattened, so a fiber's combination is one product;
     # M = 0 when every s is 0: a single-eta grid, or all-real nodes (Y = 0)
     if M:
-        A_m, G_m = np.split(_chebyshev_moments(basis.Q, w, b, y / Y, M), 2)
+        x = np.repeat(z.imag / Y, 2)
+        A_m, G_m = np.split(_chebyshev_moments(R, v, b, x, M), 2)
     else:
-        A_m = compress(w * b, basis.Q).reshape(1, d * d)  # T_0 = 1, G_0 = I
+        A_m = compress(v * b, R.T).reshape(1, d * d)  # T_0 = 1, G_0 = I
 
     lambdas = np.empty((etas.size, N_keep))
     for i in range(etas.size):
         A = (c[i] @ A_m).reshape(d, d)
         if M:
             L = np.linalg.cholesky((c[i] @ G_m).reshape(d, d))
-            A = np.linalg.solve(L, np.linalg.solve(L, A).conj().T)
+            A = np.linalg.solve(L, np.linalg.solve(L, A).T)
         lambdas[i] = _band_eigenvalues(A, N_keep)
     return BandStructure(
         etas=etas,

@@ -108,18 +108,20 @@ def cmd_bands(args) -> int:
 
 
 def _report_doc(cfg: RunConfig, result: RunResult) -> str:
-    """The gap report of a pipeline run as indented JSON."""
+    """The gap report of a pipeline run as indented, strict JSON: an
+    infinite delta_achieved (no target hit, or nothing else left) is null."""
     report = result.spectrum_report
+    delta = report.delta_achieved
     doc = {
         "config": json.loads(cfg.to_json()),
         "chosen_h": result.chosen_h,
         "components": [list(c) for c in report.components],
         "gaps": [list(g) for g in report.gaps],
         "targets": [dict(t) for t in report.target_hits],
-        "delta_achieved": report.delta_achieved,
+        "delta_achieved": delta if np.isfinite(delta) else None,
         "verdict": "pass" if result.verdict else "fail",
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def cmd_report(args) -> int:
@@ -143,7 +145,7 @@ def cmd_run(args) -> int:
         Path(cfg.report_json).write_text(_report_doc(cfg, result) + "\n")
     if cfg.diagnostics_json:
         Path(cfg.diagnostics_json).write_text(
-            json.dumps(result.diagnostics, indent=2, default=float) + "\n"
+            json.dumps(result.diagnostics, indent=2, default=float, allow_nan=False) + "\n"
         )
     print(f"verdict: {'pass' if result.verdict else 'fail'} (h = {result.chosen_h!r})")
     return EXIT_OK if result.verdict else EXIT_VERDICT_FAIL

@@ -24,6 +24,7 @@ __all__ = [
     "build_cell_quadrature",
     "compress",
     "contains",
+    "mirror_half",
 ]
 
 
@@ -166,34 +167,84 @@ def build_cell_quadrature(
     The disc part is split radially at ``R0/2`` because the symbols this
     package integrates are supported in ``|z| <= R0/2`` and jump at that
     circle.
+
+    The cell is symmetric under the mirror z -> -conj(z), and so is the
+    rule, in a fixed order: first the nodes with Re z > 0, then those with
+    Re z = 0, then the mirrors -conj(z) of the first block, bitwise and in
+    the same order, with the same weights (see ``mirror_half``).  The disc
+    angle pi - theta must be on the grid with every theta, so ``n_t`` must
+    be even.
     """
     if n_strip < 1:
         raise ValueError(f"n_strip must be >= 1, got {n_strip}")
+    if n_t % 2:
+        raise ValueError(f"n_t must be even for a mirror-symmetric cell rule, got n_t={n_t}")
     R0, h = cell.R0, cell.h
 
     disc = build_disc_quadrature(R0, n_r, n_t, radial_breaks=(R0 / 2.0,))
+    disc_nodes = disc.nodes.reshape(-1, n_t)  # one row per radius, angle 2 pi k / n_t
+    disc_weights = disc.weights.reshape(-1, n_t)
+    # the side of angle k is decided in integers: cos(pi / 2) is not 0 in floats
+    k4 = 4 * np.arange(n_t)
+    right = (k4 < n_t) | (k4 > 3 * n_t)
+    on_axis = (k4 == n_t) | (k4 == 3 * n_t)
 
+    # strip, right side: at each Gauss height y a Gauss rule in x from the
+    # circle to 1/2, one row per y, in the arithmetic of _gauss_segment
     y, wy = _gauss_segment(-h, h, n_strip)
-    node_parts = [disc.nodes]
-    weight_parts = [disc.weights]
-    for yi, wyi in zip(y, wy):
-        x_inner = np.sqrt(R0**2 - yi**2)
-        x, wx = _gauss_segment(x_inner, 0.5, n_strip)
-        node_parts.append(x + 1j * yi)
-        node_parts.append(-x + 1j * yi)
-        weight_parts.append(wx * wyi)
-        weight_parts.append(wx * wyi)
-    return QuadratureRule(np.concatenate(node_parts), np.concatenate(weight_parts))
+    t, wt = _leggauss(n_strip)
+    a = np.sqrt(R0**2 - y**2)[:, None]
+    strip_nodes = 0.5 * (0.5 - a) * t + 0.5 * (a + 0.5) + 1j * y[:, None]
+    strip_weights = 0.5 * (0.5 - a) * wt * wy[:, None]
+    half_nodes = np.concatenate([disc_nodes[:, right].ravel(), strip_nodes.ravel()])
+    half_weights = np.concatenate([disc_weights[:, right].ravel(), strip_weights.ravel()])
+    return QuadratureRule(
+        np.concatenate([half_nodes, 1j * disc_nodes[:, on_axis].imag.ravel(), -half_nodes.conj()]),
+        np.concatenate([half_weights, disc_weights[:, on_axis].ravel(), half_weights]),
+    )
+
+
+def mirror_half(rule: QuadratureRule) -> tuple[int, np.ndarray]:
+    """The leading half of a mirror-ordered rule (``build_cell_quadrature``)
+    and the real weights that integrate mirror-real products on it.
+
+    A function with f(-conj z) = conj f(z) is real where Re z = 0.  For two
+    such f and g the sum of w conj(f) g over the whole rule is therefore
+    real, and equals the sum of v (Re f Re g + Im f Im g) over its first
+    n_half nodes (those with Re z >= 0), where v = 2 w off the axis and
+    v = w on it.  Returns n_half and v repeated for each (re, im) pair,
+    length 2 n_half, so that the sum is the real dot product
+    ``f[:n_half].view(float) @ (v * g[:n_half].view(float))``.
+
+    Raises ValueError if the rule is not mirror-ordered.
+    """
+    z, w = rule.nodes, rule.weights
+    n_off = int(np.count_nonzero(z.real > 0.0))  # nodes with Re z > 0
+    n_half = z.size - n_off
+    if not (
+        np.all(z.real[:n_off] > 0.0)
+        and np.all(z.real[n_off:n_half] == 0.0)
+        and np.array_equal(z[n_half:], -z[:n_off].conj())
+        and np.array_equal(w[n_half:], w[:n_off])
+    ):
+        raise ValueError(
+            "quadrature rule is not mirror-ordered under z -> -conj(z): "
+            "build it with build_cell_quadrature and an even n_t"
+        )
+    v = w[:n_half].copy()
+    v[:n_off] *= 2.0
+    return n_half, np.repeat(v, 2)
 
 
 def compress(weights: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Galerkin matrix Q^H diag(weights) Q of the columns of Q sampled at
     quadrature nodes, symmetrized to remove the last-bit Hermiticity error
-    of floating summation.  The weighted factor is Q's conjugate transpose
-    made C-contiguous: BLAS multiplies a transposed view about three times
-    slower.
+    of floating summation.  Q may be real, and then so is the result.  The
+    weighted factor is Q's conjugate transpose made C-contiguous, in one
+    temporary: BLAS multiplies a transposed view about three times slower.
     """
-    M = np.multiply(np.ascontiguousarray(Q.conj().T), weights) @ Q
+    W = np.multiply(Q.T, weights, order="C")
+    M = np.conjugate(W, out=W) @ Q
     return 0.5 * (M + M.conj().T)
 
 

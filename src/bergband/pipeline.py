@@ -212,12 +212,14 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
         components = essential_spectrum(bands, zero_tol=delta / 2.0)
         report = gap_report(components, tspec)
         dists = [hd["distance"] for hd in report.target_hits]
+        # infinite when no target is hit or nothing else is left: JSON null
+        delta_achieved = report.delta_achieved
         diagnostics["h_trace"].append(
             {
                 "h": h,
                 "components": [list(c) for c in components],
                 "target_distances": dists,
-                "delta_achieved": report.delta_achieved,
+                "delta_achieved": delta_achieved if np.isfinite(delta_achieved) else None,
                 "dim_eff": list(bands.dim_eff),
                 "verdict": report.verdict,
             }

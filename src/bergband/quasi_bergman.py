@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CellGeometry, QuadratureRule
+from .geometry import CellGeometry, QuadratureRule, mirror_half
 
 __all__ = [
     "TwistedBasis",
@@ -62,8 +62,10 @@ class TwistedBasis:
     eta : float
         Floquet parameter in [-pi, pi].
     Q : ndarray, shape (n_nodes, dim_eff)
-        Column-orthonormal in the weighted inner product: Q^H W Q = I.
-    H : ndarray, shape (dim_eff, dim_eff)
+        Column-orthonormal in the weighted inner product: Q^H W Q = I.  On
+        a mirror-ordered rule the rows at the mirror nodes -conj(z) are the
+        conjugates of the rows at z.
+    H : ndarray of float, shape (dim_eff, dim_eff)
         Lower triangular: row j holds the projections Q^H W cand removed
         from column j's candidate, summed over both Gram-Schmidt passes, and
         the norm that remained on the diagonal; H[0, 0] is the seed's norm.
@@ -122,26 +124,37 @@ def build_basis(
     candidate whose orthogonal remainder is below ``CUTOFF`` relative to its
     pre-projection norm is discarded, and its chain stops, since further
     multiples would inherit the dependency.
+
+    ``quad`` must be mirror-ordered (``build_cell_quadrature``, even n_t).
+    Every raw mode obeys e^{ia(-conj z)} = conj e^{iaz}, and so, by
+    induction, does every column: the projections are real, and real
+    combinations keep the symmetry.  So the recurrence runs on the half rule
+    of ``geometry.mirror_half`` alone, each sampled column viewed as a real
+    row of (re, im) pairs and each projection a real matrix-vector product;
+    the mirror half of Q is its conjugate, and H is real.
     """
     if K_modes < 0:
         raise ValueError(f"K_modes must be >= 0, got {K_modes}")
-    z, w = quad.nodes, quad.weights
+    n_half, v = mirror_half(quad)
+    z = quad.nodes[:n_half]
     n_max = 2 * K_modes + 1
 
     def wnorm(f):
-        return np.sqrt(np.dot(w, f.real**2 + f.imag**2))
+        return np.sqrt(np.dot(v, f * f))
 
     # Accepted columns are the rows of Qt, their recurrence the rows of H,
-    # parent and sign; the first m rows of each are filled.
-    Qt = np.empty((n_max, z.size), dtype=complex)
-    H = np.zeros((n_max, n_max), dtype=complex)
+    # parent and sign; the first m rows of each are filled.  R views the
+    # half-rule part of Qt as real (re, im) rows; CGS2 works on R alone.
+    Qt = np.empty((n_max, quad.nodes.size), dtype=complex)
+    R = Qt[:, :n_half].view(float)
+    H = np.zeros((n_max, n_max))
     parent, sign = np.zeros((2, n_max), dtype=int)
 
     seed = np.exp(1j * eta * z)
-    nrm = wnorm(seed)
+    nrm = wnorm(seed.view(float))
     if not np.isfinite(nrm) or nrm == 0.0:
         raise DegenerateBasisError("seed mode has zero or non-finite norm")
-    Qt[0] = seed / nrm
+    Qt[0, :n_half] = seed / nrm
     H[0, 0] = nrm
     m = 1
 
@@ -151,22 +164,25 @@ def build_basis(
         for s in (+1, -1):
             if head[s] < 0:
                 continue  # chain terminated at an earlier k
-            cand = step[s] * Qt[head[s]]
-            pre = wnorm(cand)
-            hrow = np.zeros(m, dtype=complex)
+            cand = step[s] * Qt[head[s], :n_half]
+            c = cand.view(float)
+            pre = wnorm(c)
+            hrow = np.zeros(m)
             for _ in range(2):  # twice is enough (Giraud-Langou-Rozloznik)
-                proj = np.conj(Qt[:m] @ np.conj(w * cand))  # Q^H W cand
-                cand -= proj @ Qt[:m]
+                proj = R[:m] @ (v * c)  # Q^H W cand
+                c -= proj @ R[:m]
                 hrow += proj
-            post = wnorm(cand)
+            post = wnorm(c)
             if post <= CUTOFF * pre:
                 head[s] = -1
                 continue
-            Qt[m] = cand / post
+            Qt[m, :n_half] = cand / post
             H[m, :m], H[m, m] = hrow, post
             parent[m], sign[m] = head[s], s
             head[s] = m
             m += 1
+    # the mirror half: Q(-conj z) = conj Q(z)
+    np.conjugate(Qt[:m, : quad.nodes.size - n_half], out=Qt[:m, n_half:])
 
     return TwistedBasis(
         eta=float(eta),

@@ -183,11 +183,32 @@ def profile_to_json(profile: RadialProfile, R0: float) -> str:
     return json.dumps(doc, indent=2)
 
 
-def profile_from_json(text: str) -> tuple[RadialProfile, float]:
-    doc = json.loads(text)
-    profile = RadialProfile(
-        coeffs=tuple(doc["coeffs"]),
-        constant_term=float(doc.get("constant_term", 0.0)),
-        support=float(doc.get("support", 0.5)),
+def _json_float(name: str, value) -> float:
+    """A JSON value of profile field ``name`` as a float; ValueError naming
+    the field unless it is a finite number.  NaN fails the comparison, and
+    an integer beyond the float range compares without conversion."""
+    finite = (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= float(np.finfo(float).max)
     )
-    return profile, float(doc["R0"])
+    if not finite:
+        raise ValueError(f"profile field {name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def profile_from_json(text: str) -> tuple[RadialProfile, float]:
+    """Profile and disc radius from the document of ``profile_to_json``; any
+    malformed document raises ValueError naming the field."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"profile must be a JSON object, got {type(doc).__name__}")
+    coeffs = doc.get("coeffs")
+    if not isinstance(coeffs, list):
+        raise ValueError(f"profile field coeffs must be a list of numbers, got {coeffs!r}")
+    profile = RadialProfile(
+        coeffs=tuple(_json_float("coeffs", c) for c in coeffs),
+        constant_term=_json_float("constant_term", doc.get("constant_term", 0.0)),
+        support=_json_float("support", doc.get("support", 0.5)),
+    )
+    return profile, _json_float("R0", doc.get("R0"))

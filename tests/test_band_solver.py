@@ -115,14 +115,15 @@ class TestComputeBands:
             assert bands.dim_eff[i] == basis.dim_eff
 
     def test_real_nodes_untwisted(self, k3_profile):
-        # n_t = n_strip = 1 puts every node on the real axis, where the
-        # twist weight is 1 for every eta: each fiber is the eta0 fiber.
+        # n_t = 2 (angles 0 and pi) and n_strip = 1 put every node on the
+        # real axis, where the twist weight is 1 for every eta: each fiber
+        # is the eta0 fiber.
         cell = CellGeometry(R0=0.35, h=0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bands = compute_bands(
                 cell, k3_profile, [-1.0, 0.0, 1.0], K_modes=2, N_keep=3,
-                n_r=4, n_t=1, n_strip=1,
+                n_r=4, n_t=2, n_strip=1,
             )
         assert np.all(bands.lambdas == bands.lambdas[1])
 
@@ -148,6 +149,12 @@ class TestComputeBands:
         fixed = compute_bands(cell, k3_profile, etas, K_modes=10, n_r=24, n_t=48, n_strip=16)
         assert np.array_equal(bands.lambdas, fixed.lambdas)
 
+    def test_odd_angle_count_rejected(self, k3_profile):
+        # an odd n_t has no mirror rule; the message is one line naming n_t
+        with pytest.raises(ValueError, match="n_t=3") as err:
+            compute_bands(CellGeometry(0.35, 0.05), k3_profile, [0.0], n_t=3)
+        assert "\n" not in str(err.value)
+
     def test_empty_grid_rejected(self, k3_profile):
         with pytest.raises(ValueError):
             compute_bands(CellGeometry(0.35, 0.05), k3_profile, [])
@@ -161,31 +168,35 @@ class TestChebyshevMoments:
     @pytest.mark.parametrize(
         "n",
         [
-            10,  # the n_r 4, n_t 1, n_strip 1 rule: below one chunk
+            10,  # the size of the n_r 4, n_t 2, n_strip 1 rule: below one chunk
             2 * band_solver._MOMENT_CHUNK,
-            2816,  # the default rule: a partial last chunk
+            2816,  # the size of the default rule: a partial last chunk
         ],
         ids=["below-chunk", "chunk-multiple", "default-rule"],
     )
     @pytest.mark.parametrize("M", [1, 6])
     def test_matches_per_row_compress(self, rng, n, M):
+        # n complex samples per column are 2 n real columns of R
         d = min(n, 9)
         Q, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
         w = rng.uniform(0.5, 1.5, n)
         b = rng.uniform(-1.0, 1.0, n)
         x = rng.uniform(-1.0, 1.0, n)
-        moments = band_solver._chebyshev_moments(Q, w, b, x, M)
+        R = np.ascontiguousarray(Q.T).view(float)
+        moments = band_solver._chebyshev_moments(
+            R, np.repeat(w, 2), np.repeat(b, 2), np.repeat(x, 2), M
+        )
 
         T = np.polynomial.chebyshev.chebvander(x, M).T
         ref = np.array(
-            [compress(w * b * Tm, Q).ravel() for Tm in T]
-            + [compress(w * Tm, Q).ravel() for Tm in T]
+            [compress(w * b * Tm, Q).real.ravel() for Tm in T]
+            + [compress(w * Tm, Q).real.ravel() for Tm in T]
         )
+        assert moments.dtype == np.float64
         assert moments.shape == ref.shape
         assert np.max(np.abs(moments - ref)) <= 1e-13 * np.max(np.abs(ref))
         stack = moments.reshape(-1, d, d)
-        assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
-        assert np.all(np.diagonal(stack, axis1=1, axis2=2).imag == 0.0)
+        assert np.array_equal(stack, stack.transpose(0, 2, 1))
 
     def test_chunk_is_no_option(self):
         # the chunk size is an implementation constant, not a setting

@@ -89,6 +89,24 @@ class TestDiscSpec:
         _, rows = read_csv(out)
         assert float(rows[1][1]) == pytest.approx(0.1, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"R0": 0.35, "coeffs": None}, "coeffs"),
+            ([1, 2], "object"),
+            ({"R0": 0.35, "coeffs": [1.0], "support": None}, "support"),
+        ],
+        ids=["null-coeffs", "not-an-object", "null-support"],
+    )
+    def test_malformed_profile_usage_error(self, tmp_path, capsys, doc, field):
+        prof = tmp_path / "p.json"
+        prof.write_text(json.dumps(doc))
+        out = tmp_path / "spec.csv"
+        assert main(["disc-spec", "--profile", str(prof), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["200", "-3", "0"])
     def test_count_beyond_scan_usage_error(self, tmp_path, capsys, n):
         out = tmp_path / "spec.csv"
@@ -145,6 +163,25 @@ class TestRunAndReport:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == EXIT_VERDICT_FAIL
+
+    def test_unseparated_run_writes_strict_json(self, tmp_path):
+        # K 0 and one h-step hit no target, so delta_achieved is infinite;
+        # JSON has no Infinity, and strict parsers reject it
+        report, diagnostics = tmp_path / "report.json", tmp_path / "diag.json"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "targets": [0.3, 0.2, 0.1], "K_modes": 0, "h_min": 0.1,
+            "report_json": str(report), "diagnostics_json": str(diagnostics),
+        }))
+        assert main(["run", "--config", str(path)]) == EXIT_VERDICT_FAIL
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report_doc = json.loads(report.read_text(), parse_constant=reject)
+        diag_doc = json.loads(diagnostics.read_text(), parse_constant=reject)
+        assert report_doc["delta_achieved"] is None
+        assert [step["delta_achieved"] for step in diag_doc["h_trace"]] == [None]
 
     def test_missing_config_usage_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE

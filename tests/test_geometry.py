@@ -8,6 +8,7 @@ from bergband.geometry import (
     build_disc_quadrature,
     build_cell_quadrature,
     contains,
+    mirror_half,
 )
 
 
@@ -125,6 +126,26 @@ class TestCellQuadrature:
         ref = vals[-1]
         errs = [abs(v - ref) for v in vals[:-1]]
         assert errs[1] < errs[0]
+
+    @pytest.mark.parametrize(
+        "orders", [(24, 48, 16), (4, 2, 1), (4, 6, 2), (5, 20, 3)], ids=str
+    )
+    def test_mirror_ordered(self, orders):
+        # Re z > 0, then Re z = 0, then the bitwise mirrors -conj(z) of the
+        # first block with equal weights
+        quad = build_cell_quadrature(CellGeometry(R0=0.3, h=0.1), *orders)
+        z, w = quad.nodes, quad.weights
+        n_half, v = mirror_half(quad)
+        n_off = z.size - n_half
+        assert np.all(z.real[:n_off] > 0.0)
+        assert np.all(z.real[n_off:n_half] == 0.0)
+        assert np.array_equal(z[n_half:].view(np.uint64), (-z[:n_off].conj()).view(np.uint64))
+        assert np.array_equal(w[n_half:], w[:n_off])
+        assert 0.5 * np.sum(v) == pytest.approx(quad.total_weight, rel=1e-14)
+
+    def test_odd_angle_count_rejected(self):
+        with pytest.raises(ValueError, match="n_t=3"):
+            build_cell_quadrature(CellGeometry(R0=0.3, h=0.1), n_t=3)
 
     def test_small_h_limit(self):
         # As h -> 0 the cell area tends to the disc area plus the full strip.

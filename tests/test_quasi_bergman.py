@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bergband.geometry import build_cell_quadrature
+from bergband import band_solver
+from bergband.geometry import CellGeometry, build_cell_quadrature, build_disc_quadrature, mirror_half
 from bergband.quasi_bergman import (
     CUTOFF,
     TwistedBasis,
@@ -127,6 +128,24 @@ class TestBuildBasis:
         with pytest.raises(ValueError):
             build_basis(cell_mid, 0.0, -1, quad_mid)
 
+    def test_non_mirror_rule_rejected(self, cell_mid):
+        # three angles: no disc node has its mirror -conj(z) on the grid
+        with pytest.raises(ValueError, match="even n_t"):
+            build_basis(cell_mid, 0.0, 3, build_disc_quadrature(0.3, n_r=4, n_t=3))
+
+    def test_mirror_symmetry(self, cell_mid, quad_mid, rng):
+        # columns with f(-conj z) = conj f(z): real recurrence, conjugate
+        # samples at mirrored nodes, and conjugate values off the grid
+        basis = build_basis(cell_mid, 0.7, 16, quad_mid)
+        n_half, _ = mirror_half(quad_mid)
+        n_off = quad_mid.nodes.size - n_half
+        assert basis.H.dtype == np.float64
+        assert np.array_equal(basis.Q[n_half:], basis.Q[:n_off].conj())
+        z = rng.uniform(-0.5, 0.5, 200) + 1j * rng.uniform(-cell_mid.h, cell_mid.h, 200)
+        vals = basis.evaluate(z)
+        mirrored = basis.evaluate(-z.conj())
+        assert np.max(np.abs(mirrored - vals.conj())) <= 1e-13 * np.max(np.abs(vals))
+
 
 class TestBlockGramSchmidt:
     """build_basis against the per-pair MGS reference: same dimension, same
@@ -139,11 +158,12 @@ class TestBlockGramSchmidt:
         # 2 disc panels x 1 x 2 angles + 2 strip nodes: every chain terminates
         return build_cell_quadrature(cell_mid, n_r=1, n_t=2, n_strip=1)
 
-    @pytest.mark.parametrize("eta", [0.0, 1.3, -np.pi])
-    @pytest.mark.parametrize("K", [0, 3, 10, 16, 24, 32])
-    def test_matches_mgs_reference(self, cell_mid, rule, K, eta):
-        basis = build_basis(cell_mid, eta, K, rule)
-        ref = mgs_reference_basis(cell_mid, eta, K, rule)
+    @staticmethod
+    def assert_matches_mgs_reference(cell, rule, K, eta):
+        # build_basis works on the half rule in real arithmetic; the
+        # reference works on the whole rule in complex arithmetic
+        basis = build_basis(cell, eta, K, rule)
+        ref = mgs_reference_basis(cell, eta, K, rule)
         assert basis.dim_eff == ref.dim_eff
         assert projector_distance(basis, ref) <= 1e-12
         G = basis.Q.conj().T @ (rule.weights[:, None] * basis.Q)
@@ -151,6 +171,20 @@ class TestBlockGramSchmidt:
         for b in (basis, ref):
             err = np.abs(b.evaluate(rule.nodes) - b.Q)
             assert np.max(err) <= 1e-13 * np.max(np.abs(b.Q))
+
+    @pytest.mark.parametrize("eta", [0.0, 1.3, -np.pi])
+    @pytest.mark.parametrize("K", [0, 3, 10, 16, 24, 32])
+    def test_matches_mgs_reference(self, cell_mid, rule, K, eta):
+        self.assert_matches_mgs_reference(cell_mid, rule, K, eta)
+
+    @pytest.mark.parametrize("K", [24, 32])
+    @pytest.mark.parametrize("R0", [0.26, 0.49])
+    def test_matches_mgs_reference_across_R0(self, R0, K):
+        # the smallest and largest disc, on the rule compute_bands derives
+        # (up to 49,000 nodes, so one eta: the reference is slow)
+        cell = CellGeometry(R0=R0, h=0.05)
+        rule = build_cell_quadrature(cell, *band_solver._quadrature_orders(K, R0))
+        self.assert_matches_mgs_reference(cell, rule, K, 1.3)
 
 
 class TestProject:
