@@ -37,15 +37,15 @@ __all__ = [
 @dataclass(frozen=True)
 class BandStructure:
     """Band eigenvalues lambda[i, n] at eta grid point i, ordered per row
-    by decreasing modulus.  Rows shorter than N_keep (small effective basis
-    dimension) are padded with exact zeros, consistent with the 0-cluster."""
+    by decreasing modulus.  One basis of dim_eff columns serves every eta;
+    rows shorter than N_keep (dim_eff < N_keep) are padded with exact
+    zeros, consistent with the 0-cluster."""
 
     etas: np.ndarray  # shape (n_eta,)
     lambdas: np.ndarray  # shape (n_eta, N_keep), real
     cell: CellGeometry
     profile: RadialProfile
-    K_modes: int
-    dim_eff: tuple[int, ...] = ()
+    dim_eff: int
 
     @property
     def N_keep(self) -> int:
@@ -63,10 +63,13 @@ class SpectrumReport:
     """
 
     components: tuple[tuple[float, float], ...]
-    gaps: tuple[tuple[float, float], ...]
     target_hits: tuple[dict, ...]
     delta_achieved: float
     verdict: bool
+
+    @property
+    def gaps(self) -> tuple[tuple[float, float], ...]:
+        return tuple((a[1], b[0]) for a, b in zip(self.components, self.components[1:]))
 
 
 def toeplitz_matrix(
@@ -284,8 +287,7 @@ def compute_bands(
         lambdas=lambdas,
         cell=cell,
         profile=profile,
-        K_modes=K_modes,
-        dim_eff=(basis.dim_eff,) * etas.size,
+        dim_eff=d,
     )
 
 
@@ -358,9 +360,6 @@ def gap_report(
     components = sorted((float(lo), float(hi)) for lo, hi in spectrum)
     if not components:
         raise ValueError("spectrum must contain at least one component")
-    gaps = [
-        (components[i][1], components[i + 1][0]) for i in range(len(components) - 1)
-    ]
 
     hits = []
     hit_idx: set[int] = set()
@@ -382,7 +381,6 @@ def gap_report(
     verdict = all(hd["hit"] for hd in hits) and delta_achieved >= spec.delta
     return SpectrumReport(
         components=tuple(components),
-        gaps=tuple(gaps),
         target_hits=tuple(hits),
         delta_achieved=float(delta_achieved),
         verdict=bool(verdict),

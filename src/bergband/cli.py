@@ -29,7 +29,13 @@ from .quasi_bergman import DegenerateBasisError
 from .band_solver import h_convergence_study
 from .floquet import CellField, floquet_forward, floquet_inverse, field_norm, floquet_norm
 from .conformal import identity_pair, rotation_pair, moebius_pair, transplant
-from .pipeline import RunConfig, RunResult, config_bands, run_prescribed_spectrum
+from .pipeline import (
+    RunConfig,
+    RunResult,
+    config_bands,
+    json_delta_achieved,
+    run_prescribed_spectrum,
+)
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -108,17 +114,15 @@ def cmd_bands(args) -> int:
 
 
 def _report_doc(cfg: RunConfig, result: RunResult) -> str:
-    """The gap report of a pipeline run as indented, strict JSON: an
-    infinite delta_achieved (no target hit, or nothing else left) is null."""
+    """The gap report of a pipeline run as indented, strict JSON."""
     report = result.spectrum_report
-    delta = report.delta_achieved
     doc = {
         "config": json.loads(cfg.to_json()),
         "chosen_h": result.chosen_h,
         "components": [list(c) for c in report.components],
         "gaps": [list(g) for g in report.gaps],
         "targets": [dict(t) for t in report.target_hits],
-        "delta_achieved": delta if np.isfinite(delta) else None,
+        "delta_achieved": json_delta_achieved(report),
         "verdict": "pass" if result.verdict else "fail",
     }
     return json.dumps(doc, indent=2, allow_nan=False)

@@ -35,22 +35,21 @@ __all__ = [
 class ConformalPair:
     """A conformal map psi: D -> Omega with derivative and inverse.
 
-    psi and phi are mutual inverses (phi o psi = id on the disc); dpsi and
-    dphi are their complex derivatives.  All four are vectorized callables
-    on complex arrays.
+    psi and phi are mutual inverses (phi o psi = id on the disc); dpsi is
+    the complex derivative of psi.  All three are vectorized callables on
+    complex arrays.
     """
 
     psi: Callable[[np.ndarray], np.ndarray]
     dpsi: Callable[[np.ndarray], np.ndarray]
     phi: Callable[[np.ndarray], np.ndarray]
-    dphi: Callable[[np.ndarray], np.ndarray]
     tag: str
 
 
 def identity_pair() -> ConformalPair:
     one = lambda z: np.ones_like(np.asarray(z, dtype=complex))
     ident = lambda z: np.asarray(z, dtype=complex)
-    return ConformalPair(psi=ident, dpsi=one, phi=ident, dphi=one, tag="identity")
+    return ConformalPair(psi=ident, dpsi=one, phi=ident, tag="identity")
 
 
 def rotation_pair(theta: float) -> ConformalPair:
@@ -59,7 +58,6 @@ def rotation_pair(theta: float) -> ConformalPair:
         psi=lambda z: rot * np.asarray(z, dtype=complex),
         dpsi=lambda z: np.full_like(np.asarray(z, dtype=complex), rot),
         phi=lambda z: np.conj(rot) * np.asarray(z, dtype=complex),
-        dphi=lambda z: np.full_like(np.asarray(z, dtype=complex), np.conj(rot)),
         tag=f"rotation({theta})",
     )
 
@@ -84,11 +82,7 @@ def moebius_pair(alpha: complex) -> ConformalPair:
         z = np.asarray(z, dtype=complex)
         return (z - alpha) / (1.0 - ac * z)
 
-    def dphi(z):
-        z = np.asarray(z, dtype=complex)
-        return fac / (1.0 - ac * z) ** 2
-
-    return ConformalPair(psi=psi, dpsi=dpsi, phi=phi, dphi=dphi, tag=f"moebius({alpha})")
+    return ConformalPair(psi=psi, dpsi=dpsi, phi=phi, tag=f"moebius({alpha})")
 
 
 def rect_exp_pair() -> ConformalPair:
@@ -104,10 +98,6 @@ def rect_exp_pair() -> ConformalPair:
         z = np.asarray(z, dtype=complex)
         return np.exp(2j * np.pi * z - 2.0 * np.pi)
 
-    def dphi(z):
-        z = np.asarray(z, dtype=complex)
-        return 2j * np.pi * np.exp(2j * np.pi * z - 2.0 * np.pi)
-
     def psi(w):
         w = np.asarray(w, dtype=complex)
         return (np.log(w) + 2.0 * np.pi) / (2j * np.pi)
@@ -116,7 +106,7 @@ def rect_exp_pair() -> ConformalPair:
         w = np.asarray(w, dtype=complex)
         return 1.0 / (2j * np.pi * w)
 
-    return ConformalPair(psi=psi, dpsi=dpsi, phi=phi, dphi=dphi, tag="rect_exp")
+    return ConformalPair(psi=psi, dpsi=dpsi, phi=phi, tag="rect_exp")
 
 
 def transplant(

@@ -84,10 +84,6 @@ class QuadratureRule:
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """Discrete L2 inner product  sum_j w_j conj(f_j) g_j."""
-        return complex(np.sum(self.weights * np.conj(f) * g))
-
     def norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(np.sum(self.weights * np.abs(f) ** 2)))
 

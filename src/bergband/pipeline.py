@@ -32,6 +32,7 @@ from .band_solver import (
 __all__ = [
     "RunConfig",
     "RunResult",
+    "json_delta_achieved",
     "run_prescribed_spectrum",
     "config_bands",
     "choose_gap_index",
@@ -130,9 +131,19 @@ class RunResult:
     disc_spectrum: DiscSpectrum
     chosen_h: float
     band_structure: BandStructure | None
-    spectrum_report: SpectrumReport | None
-    verdict: bool
+    spectrum_report: SpectrumReport
     diagnostics: dict
+
+    @property
+    def verdict(self) -> bool:
+        return self.spectrum_report.verdict
+
+
+def json_delta_achieved(report: SpectrumReport) -> float | None:
+    """delta_achieved for strict JSON: infinite (no target hit, or nothing
+    else left to be separated from) is null."""
+    delta = report.delta_achieved
+    return delta if np.isfinite(delta) else None
 
 
 def choose_gap_index(spec: DiscSpectrum, targets: tuple[float, ...]) -> int:
@@ -185,12 +196,16 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
             chosen_h=config.h_initial,
             band_structure=None,
             spectrum_report=report,
-            verdict=True,
             diagnostics=diagnostics,
         )
 
     N = choose_gap_index(disc, config.targets)
     gap = spectral_gap(disc, N)
+    if config.delta_override is None and not (gap > 0.0):
+        raise ValueError(
+            f"spectral gap |lambda_{N}| - |lambda_{N + 1}| = {gap!r} leaves no gap "
+            "radius delta: a target in the 0-cluster needs delta_override"
+        )
     delta = config.delta_override if config.delta_override is not None else gap / 4.0
     diagnostics["gap_index_N"] = N
     diagnostics["spectral_gap"] = gap
@@ -204,45 +219,33 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
         diagnostics["epsilon_effective"] = epsilon
     tspec = TargetSpec(targets=config.targets, epsilon=epsilon, delta=delta)
 
+    # h_initial >= h_min (RunConfig), so the loop runs at least once; it
+    # stops at the first pass or when the next halving would fall below h_min
     h = config.h_initial
-    bands: BandStructure | None = None
-    report: SpectrumReport | None = None
-    while h >= config.h_min:
+    while True:
         bands = config_bands(config, profile, h)
         components = essential_spectrum(bands, zero_tol=delta / 2.0)
         report = gap_report(components, tspec)
-        dists = [hd["distance"] for hd in report.target_hits]
-        # infinite when no target is hit or nothing else is left: JSON null
-        delta_achieved = report.delta_achieved
         diagnostics["h_trace"].append(
             {
                 "h": h,
                 "components": [list(c) for c in components],
-                "target_distances": dists,
-                "delta_achieved": delta_achieved if np.isfinite(delta_achieved) else None,
-                "dim_eff": list(bands.dim_eff),
+                "target_distances": [hd["distance"] for hd in report.target_hits],
+                "delta_achieved": json_delta_achieved(report),
+                "dim_eff": bands.dim_eff,
                 "verdict": report.verdict,
             }
         )
-        if report.verdict:
-            return RunResult(
-                profile=profile,
-                disc_spectrum=disc,
-                chosen_h=h,
-                band_structure=bands,
-                spectrum_report=report,
-                verdict=True,
-                diagnostics=diagnostics,
-            )
+        if report.verdict or 0.5 * h < config.h_min:
+            break
         h *= 0.5
-
-    diagnostics["failure"] = f"h fell below h_min={config.h_min} without a pass"
+    if not report.verdict:
+        diagnostics["failure"] = f"h fell below h_min={config.h_min} without a pass"
     return RunResult(
         profile=profile,
         disc_spectrum=disc,
-        chosen_h=2.0 * h,
+        chosen_h=h,
         band_structure=bands,
         spectrum_report=report,
-        verdict=False,
         diagnostics=diagnostics,
     )

@@ -29,19 +29,24 @@ __all__ = [
     "profile_from_json",
 ]
 
-MAX_TARGETS = 8
+# The Gram matrix depends on the target count K alone; its condition number
+# is 2.2e10 at K = 5 and 7.0e12 at K = 6, so 5 is the largest K under the limit.
+MAX_TARGETS = 5
 GRAM_COND_LIMIT = 1e12
 SUP_NORM_SAMPLES = 4001
 
 
 class IllConditionedError(ValueError):
-    """Synthesis Gram system too ill-conditioned to solve reliably."""
+    """Synthesis Gram system too ill-conditioned to solve reliably: more
+    than MAX_TARGETS targets.  condition is a lower bound on its condition
+    number, which exceeds limit."""
 
-    def __init__(self, condition: float, limit: float) -> None:
+    def __init__(self, count: int, condition: float, limit: float) -> None:
         self.condition = condition
         self.limit = limit
         super().__init__(
-            f"moment Gram matrix condition number {condition:.3e} exceeds {limit:.1e}"
+            f"{count} targets exceed the limit of {MAX_TARGETS}: the moment Gram "
+            f"matrix condition number is at least {condition:.3e}, over {limit:.1e}"
         )
 
 
@@ -125,9 +130,9 @@ def synthesize_profile(targets) -> RadialProfile:
     ValueError
         If a target is NaN or infinite.
     IllConditionedError
-        If K > 8 or the Gram condition number exceeds 1e12.  The Gram
-        matrix is Hilbert-like, so conditioning degrades geometrically
-        with K; capping at 8 keeps the solve trustworthy in doubles.
+        If K > 5.  The Gram matrix is Hilbert-like, so conditioning degrades
+        geometrically with K: its condition number first exceeds 1e12 at
+        K = 6, and capping at 5 keeps the solve trustworthy in doubles.
     """
     x = np.asarray(tuple(targets), dtype=float)
     if not np.all(np.isfinite(x)):
@@ -136,23 +141,19 @@ def synthesize_profile(targets) -> RadialProfile:
     if K == 0:
         return RadialProfile(coeffs=())
     if K > MAX_TARGETS:
-        raise IllConditionedError(condition=float("inf"), limit=GRAM_COND_LIMIT)
-
-    G = _gram_matrix(K)
-    cond = float(np.linalg.cond(G))
-    if cond > GRAM_COND_LIMIT:
-        raise IllConditionedError(condition=cond, limit=GRAM_COND_LIMIT)
+        # G_K has G_{MAX_TARGETS+1} as its leading block, so by interlacing
+        # cond G_K is at least cond G_{MAX_TARGETS+1} > GRAM_COND_LIMIT
+        cond = float(np.linalg.cond(_gram_matrix(MAX_TARGETS + 1)))
+        raise IllConditionedError(K, condition=cond, limit=GRAM_COND_LIMIT)
 
     n = np.arange(1, K + 1)
-    c = np.linalg.solve(G, x / (2.0 * (n + 1)))
+    c = np.linalg.solve(_gram_matrix(K), x / (2.0 * (n + 1)))
     return RadialProfile(coeffs=tuple(c))
 
 
 def eval_disc_symbol(profile: RadialProfile, z: complex | np.ndarray):
     """Symbol on the unit disc: b(|z|), zero outside the profile support."""
-    z = np.asarray(z, dtype=complex)
-    val = profile(np.abs(z))
-    return val
+    return profile(np.abs(np.asarray(z, dtype=complex)))
 
 
 def eval_cell_symbol(profile: RadialProfile, cell: CellGeometry, z):

@@ -112,7 +112,7 @@ class TestComputeBands:
             ev = np.linalg.eigvalsh(toeplitz_matrix(cell, k3_profile, basis))
             ref = ev[np.argsort(-np.abs(ev), kind="stable")][: bands.N_keep]
             assert np.max(np.abs(bands.lambdas[i] - ref)) <= 1e-12
-            assert bands.dim_eff[i] == basis.dim_eff
+            assert bands.dim_eff == basis.dim_eff
 
     def test_real_nodes_untwisted(self, k3_profile):
         # n_t = 2 (angles 0 and pi) and n_strip = 1 put every node on the

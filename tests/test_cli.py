@@ -183,6 +183,24 @@ class TestRunAndReport:
         assert report_doc["delta_achieved"] is None
         assert [step["delta_achieved"] for step in diag_doc["h_trace"]] == [None]
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    @pytest.mark.parametrize("targets", [[0.0], [1e-20], [0.3, 0.0]])
+    def test_zero_cluster_target_usage_error(self, tmp_path, capsys, command, targets):
+        # the spectral gap is 0, so the cap epsilon < delta = gap / 4 would
+        # leave epsilon 0: the error must name the gap instead
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"targets": targets}))
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not err[0].startswith("error: epsilon")
+        assert "delta_override" in err[0]
+
+    def test_zero_cluster_target_with_delta_override_passes(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"targets": [0.0], "delta_override": 0.1}))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+
     def test_missing_config_usage_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
 

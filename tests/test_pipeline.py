@@ -156,3 +156,18 @@ class TestRunPrescribedSpectrum:
         result = run_prescribed_spectrum(config)
         assert not result.verdict
         assert "failure" in result.diagnostics
+
+    def test_failing_run_stops_at_last_h_above_h_min(self):
+        config = RunConfig(
+            targets=(0.3, 0.2999), epsilon=0.0001, eta_points=3, h_min=0.03
+        )
+        result = run_prescribed_spectrum(config)
+        trace = result.diagnostics["h_trace"]
+        # the smallest h_initial / 2^k >= h_min is 0.05, at k = 1
+        k = max(j for j in range(10) if config.h_initial / 2**j >= config.h_min)
+        assert not result.verdict
+        assert len(trace) == k + 1
+        assert result.chosen_h == trace[-1]["h"] == config.h_initial / 2**k == 0.05
+        assert result.spectrum_report.verdict is trace[-1]["verdict"] is False
+        assert "failure" in result.diagnostics
+        assert all(isinstance(step["dim_eff"], int) for step in trace)

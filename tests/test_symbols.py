@@ -7,7 +7,10 @@ from scipy import integrate
 
 from bergband.geometry import CellGeometry
 from bergband.symbols import (
+    GRAM_COND_LIMIT,
+    MAX_TARGETS,
     IllConditionedError,
+    _gram_matrix,
     RadialProfile,
     TargetSpec,
     synthesize_profile,
@@ -60,6 +63,19 @@ class TestSynthesis:
             synthesize_profile(list(np.linspace(1.0, 0.1, 9)))
         except IllConditionedError as exc:
             assert exc.condition > exc.limit
+
+    def test_target_limit_is_last_count_under_condition_limit(self):
+        # the Gram matrix depends on the target count alone
+        assert np.linalg.cond(_gram_matrix(MAX_TARGETS)) <= GRAM_COND_LIMIT
+        assert np.linalg.cond(_gram_matrix(MAX_TARGETS + 1)) > GRAM_COND_LIMIT
+        assert synthesize_profile(list(np.linspace(0.5, 0.1, MAX_TARGETS))).K == MAX_TARGETS
+
+    @pytest.mark.parametrize("K", [6, 9, 40])
+    def test_too_many_targets_message_names_count_and_limit(self, K):
+        with pytest.raises(IllConditionedError, match=f"^{K} targets exceed the limit of 5") as info:
+            synthesize_profile(list(np.linspace(0.9, 0.1, K)))
+        assert "inf" not in str(info.value)
+        assert np.isfinite(info.value.condition)
 
     @given(
         st.lists(
