@@ -191,6 +191,11 @@ def _quadrature_orders(K_modes: int, R0: float) -> tuple[int, int, int]:
     return n_t // 2, n_t, -(-n_t // 3)
 
 
+# Sorted |eta| closer than this are one fiber in compute_bands: a few ulp of
+# pi (|eta_i + eta_{64-i}| reaches 4.4e-16 on linspace(-pi, pi, 65)).
+_FOLD_TOL = 8.0 * np.finfo(float).eps * np.pi
+
+
 def compute_bands(
     cell: CellGeometry,
     profile: RadialProfile,
@@ -203,9 +208,19 @@ def compute_bands(
 ) -> BandStructure:
     """Band structure over an eta grid from one basis per geometry.
 
+    The grid is folded first.  Conjugation f(z) -> conj f(conj z) maps the
+    eta-fiber antiunitarily onto the (-eta)-fiber; the cell, its rule (for
+    every even n_t) and the real radial symbol are invariant under it, so
+    lambda_n(-eta) = lambda_n(eta).  Each eta is therefore mapped to |eta|,
+    sorted |eta| that agree to within _FOLD_TOL (a few ulp of pi, since a
+    grid such as linspace(-pi, pi, 65) is not bitwise symmetric) are merged,
+    each distinct |eta| is solved once, and the rows of the returned
+    BandStructure, which keeps the caller's grid and order, are copies of
+    those solutions.  A grid {-eta, eta} is a single fiber.
+
     The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the
     eta-fiber space, so the basis Q0 is orthonormalized once, at the middle
-    eta0 of the grid's range, and each fiber is the generalized problem
+    eta0 of the folded range, and each fiber is the generalized problem
     A x = lambda G x in the twisted columns, with the d x d matrices
     G = Q0^H diag(w t) Q0 and A = Q0^H diag(w b t) Q0, where
     t = |e^{i (eta - eta0) z}|^2 = e^{s x} with x = Im z / Y in [-1, 1],
@@ -217,10 +232,12 @@ def compute_bands(
     (c_m = 2 I_m(s) for m >= 1), so G = sum_m c_m G_m and A = sum_m c_m A_m
     with the eta-independent moments G_m = Q0^H diag(w T_m(x)) Q0 and
     A_m = Q0^H diag(w b T_m(x)) Q0, m = 0..M.  M is the smallest degree
-    with 2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S, S = max |s| over the grid:
-    the left side bounds the series tail, and the factor e^-S keeps the
-    error at rounding level against the smallest eigenvalue of G, which is
-    at least e^-|s|.  R0 < 1/2 gives S < pi and M <= 22.
+    with 2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S, S = max |s| over the folded
+    grid: the left side bounds the series tail, and the factor e^-S keeps
+    the error at rounding level against the smallest eigenvalue of G, which
+    is at least e^-|s|.  The folded range lies in [0, pi] and eta0 is its
+    middle, so R0 < 1/2 gives S < pi/2 and M <= 17; on the default grid
+    linspace(-pi, pi, 65) at R0 0.35, M is 15.
 
     Every moment is real symmetric.  The cell, the rule, the radial symbol
     b and x are invariant under the mirror z -> -conj(z), and every column
@@ -229,8 +246,8 @@ def compute_bands(
     columns' (re, im) pairs as the rows of a real matrix R.  So all moments,
     Cholesky factors, solves and eigensolves are real.  All 2 (M + 1)
     moments come from one product per chunk of R's columns, over the upper
-    triangle (_chebyshev_moments).  A grid whose every point is eta0 has
-    M = 0 and keeps its single product A_0 = compress(v b, R^T), with
+    triangle (_chebyshev_moments).  A grid that folds to a single point
+    eta0 has M = 0 and keeps its single product A_0 = compress(v b, R^T), with
     G_0 = I by orthonormality.
 
     The cell quadrature orders n_r, n_t and n_strip default to None, which
@@ -248,18 +265,26 @@ def compute_bands(
         given if given is not None else derived
         for given, derived in zip((n_r, n_t, n_strip), _quadrature_orders(K_modes, cell.R0))
     )
+    # fold: etas[i] is solved as folded[fiber[i]]
+    order = np.argsort(np.abs(etas), kind="stable")
+    mags = np.abs(etas)[order]
+    new = np.concatenate(([True], np.diff(mags) > _FOLD_TOL))
+    folded = mags[new]
+    fiber = np.empty(etas.size, dtype=int)
+    fiber[order] = np.cumsum(new) - 1
+
     quad = build_cell_quadrature(cell, n_r=n_r, n_t=n_t, n_strip=n_strip)
     n_half, v = mirror_half(quad)
     z = quad.nodes[:n_half]
     b = np.repeat(eval_cell_symbol(profile, cell, z), 2)
-    eta0 = 0.5 * (etas.min() + etas.max())
+    eta0 = 0.5 * (folded[0] + folded[-1])
     basis = build_basis(cell, eta0, K_modes, quad)
     # the columns' (re, im) pairs on the half rule as rows: a view, since
     # build_basis stores the columns of Q as the rows of its buffer
     R = basis.Q[:n_half].T.view(float)
 
     Y = max(z.imag.max(), -z.imag.min())
-    s = -2.0 * (etas - eta0) * Y
+    s = -2.0 * (folded - eta0) * Y
     M = _chebyshev_terms(float(np.abs(s).max()))
     # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
     # c_m = (2 - [m = 0]) / (M + 1) sum_j e^{s x_j} T_m(x_j)
@@ -268,15 +293,15 @@ def compute_bands(
     c[:, 0] *= 0.5
     d = basis.dim_eff
     # moment m is row m, flattened, so a fiber's combination is one product;
-    # M = 0 when every s is 0: a single-eta grid, or all-real nodes (Y = 0)
+    # M = 0 when every s is 0: a single folded eta, or all-real nodes (Y = 0)
     if M:
         x = np.repeat(z.imag / Y, 2)
         A_m, G_m = np.split(_chebyshev_moments(R, v, b, x, M), 2)
     else:
         A_m = compress(v * b, R.T).reshape(1, d * d)  # T_0 = 1, G_0 = I
 
-    lambdas = np.empty((etas.size, N_keep))
-    for i in range(etas.size):
+    lambdas = np.empty((folded.size, N_keep))
+    for i in range(folded.size):
         A = (c[i] @ A_m).reshape(d, d)
         if M:
             L = np.linalg.cholesky((c[i] @ G_m).reshape(d, d))
@@ -284,7 +309,7 @@ def compute_bands(
         lambdas[i] = _band_eigenvalues(A, N_keep)
     return BandStructure(
         etas=etas,
-        lambdas=lambdas,
+        lambdas=lambdas[fiber],
         cell=cell,
         profile=profile,
         dim_eff=d,
@@ -294,10 +319,12 @@ def compute_bands(
 def _default_merge_tol(bands: BandStructure) -> float:
     """Resolution-aware merge tolerance: the largest adjacent-eta increment
     observed within any single band, i.e. how far the finite grid can move
-    a band value without implying an actual gap."""
+    a band value without implying an actual gap.  Adjacent means adjacent
+    in eta, so the rows are taken in sorted eta order, not grid order."""
     if bands.etas.size < 2:
         return 1e-12
-    incr = np.abs(np.diff(bands.lambdas, axis=0))
+    order = np.argsort(bands.etas, kind="stable")
+    incr = np.abs(np.diff(bands.lambdas[order], axis=0))
     return float(max(np.max(incr), 1e-12))
 
 

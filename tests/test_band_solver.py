@@ -71,6 +71,28 @@ class TestComputeBands:
         lams = small_bands.lambdas
         assert np.allclose(lams, lams[::-1], atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "grid, solves",
+        [(np.linspace(-np.pi, np.pi, 65), 33), ([-0.7, 0.7], 1)],
+        ids=["symmetric-65", "pair"],
+    )
+    def test_fold_solves_each_abs_eta_once(self, monkeypatch, k3_profile, grid, solves):
+        # linspace(-pi, pi, 65) is symmetric only to rounding; its rows at
+        # eta and -eta are still one fiber, copied bitwise
+        calls = []
+        solve = band_solver._band_eigenvalues
+
+        def counted(A, N_keep):
+            calls.append(N_keep)
+            return solve(A, N_keep)
+
+        monkeypatch.setattr(band_solver, "_band_eigenvalues", counted)
+        bands = compute_bands(CellGeometry(R0=0.35, h=0.05), k3_profile, grid, N_keep=6)
+        assert len(calls) == solves
+        assert np.array_equal(bands.etas, np.asarray(grid, dtype=float))
+        assert bands.lambdas.shape == (len(grid), 6)
+        assert np.array_equal(bands.lambdas, bands.lambdas[::-1])
+
     def test_band_holder_continuity(self, small_bands):
         # Adjacent-grid increments bounded by C sqrt(d_eta) with C fitted
         # from the coarse grid itself.
@@ -88,20 +110,24 @@ class TestComputeBands:
         "R0, K, grid",
         [
             pytest.param(0.35, K, grid, id=f"{grid}-{K}")
-            for grid in ("symmetric", "one-sided", "single")
+            for grid in ("symmetric", "one-sided", "single", "negative", "mixed")
             for K in (10, 16, 24)
         ]
-        # R0 = 0.49 needs the most Chebyshev terms (M = 22)
+        # R0 = 0.49 needs the most Chebyshev terms (M = 17)
         + [pytest.param(0.49, K, "symmetric", id=f"R0-0.49-symmetric-{K}") for K in (10, 24)]
         + [pytest.param(0.35, 10, "symmetric-33", id="symmetric-33-10")],
     )
     def test_matches_per_fiber_basis(self, k3_profile, R0, K, grid):
         # One basis twisted onto every fiber spans the same space as the
-        # basis orthonormalized at that fiber, so the bands agree.
+        # basis orthonormalized at that fiber, so the bands agree.  On the
+        # negative and mixed grids compute_bands solves at |eta| only, so the
+        # reference built at each negative eta checks lambda(-eta) = lambda(eta).
         etas = {
             "symmetric": np.linspace(-np.pi, np.pi, 9),
             "one-sided": np.linspace(0.3, 2.9, 7),
             "single": [1.1],
+            "negative": np.linspace(-2.9, -0.3, 7),
+            "mixed": [-2.0, -0.4, 1.1],
             "symmetric-33": np.linspace(-np.pi, np.pi, 33),
         }[grid]
         cell = CellGeometry(R0=R0, h=0.02)
@@ -231,6 +257,17 @@ class TestEssentialSpectrum:
         n_fine = len(essential_spectrum(small_bands, merge_tol=1e-6))
         n_coarse = len(essential_spectrum(small_bands, merge_tol=0.05))
         assert n_coarse <= n_fine
+
+    def test_grid_order_irrelevant(self, k3_profile):
+        # the default merge tolerance differences the rows in eta order: in
+        # grid order a permuted grid inflated it from 3.2e-4 to 6.7e-3
+        cell = CellGeometry(R0=0.35, h=0.05)
+        etas = np.linspace(-np.pi, np.pi, 65)
+        perm = np.random.default_rng(0).permutation(etas.size)
+        sorted_bands = compute_bands(cell, k3_profile, etas)
+        permuted = compute_bands(cell, k3_profile, etas[perm])
+        assert np.array_equal(permuted.lambdas, sorted_bands.lambdas[perm])
+        assert essential_spectrum(permuted) == essential_spectrum(sorted_bands)
 
     def test_target_components_present(self, small_bands):
         comps = essential_spectrum(small_bands)
