@@ -10,12 +10,12 @@ prescribed targets, and track convergence as the ligament width h shrinks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from .geometry import CellGeometry, build_cell_quadrature, compress, mirror_half
 from .quasi_bergman import TwistedBasis, build_basis
@@ -105,24 +105,6 @@ def _chebyshev_terms(S: float) -> int:
         M += 1
         tail *= 0.5 * S / (M + 1)
     return M
-
-
-@functools.lru_cache(maxsize=32)
-def _chebyshev_points(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The M + 1 Chebyshev points x_j = cos(pi (2j+1) / (2M+2)) and the
-    matrix T[j, m] = T_m(x_j) = cos(pi m (2j+1) / (2M+2)), computed once per
-    degree and returned read-only, since every caller shares the same arrays.
-
-    The integer m (2j+1) is reduced mod 4(M+1) before the cosine, so that
-    its argument stays below 2 pi: unreduced it reaches 68 at M = 22, and
-    its rounding error doubled the worst band error at R0 = 0.49.
-    """
-    j = np.arange(M + 1)
-    x = np.cos(np.pi / (2 * M + 2) * (2 * j + 1))
-    T = np.cos(np.pi / (2 * M + 2) * (np.outer(2 * j + 1, j) % (4 * M + 4)))
-    x.flags.writeable = False
-    T.flags.writeable = False
-    return x, T
 
 
 # Real columns (two per half-rule node) per product in _chebyshev_moments.
@@ -237,7 +219,9 @@ def compute_bands(
     the error at rounding level against the smallest eigenvalue of G, which
     is at least e^-|s|.  The folded range lies in [0, pi] and eta0 is its
     middle, so R0 < 1/2 gives S < pi/2 and M <= 17; on the default grid
-    linspace(-pi, pi, 65) at R0 0.35, M is 15.
+    linspace(-pi, pi, 65) at R0 0.35, M is 15.  The c_m interpolate e^{s x}
+    at numpy's M + 1 Chebyshev points of the first kind (chebpts1), with
+    T_m there from chebvander.
 
     Every moment is real symmetric.  The cell, the rule, the radial symbol
     b and x are invariant under the mirror z -> -conj(z), and every column
@@ -246,9 +230,12 @@ def compute_bands(
     columns' (re, im) pairs as the rows of a real matrix R.  So all moments,
     Cholesky factors, solves and eigensolves are real.  All 2 (M + 1)
     moments come from one product per chunk of R's columns, over the upper
-    triangle (_chebyshev_moments).  A grid that folds to a single point
-    eta0 has M = 0 and keeps its single product A_0 = compress(v b, R^T), with
-    G_0 = I by orthonormality.
+    triangle (_chebyshev_moments).
+
+    M = 0 (every s is 0: a grid that folds to a single point eta0, or
+    all-real nodes) is settled before any expansion: every fiber is the one
+    product A_0 = compress(v b, R^T), with G_0 = I by orthonormality, and one
+    eigensolve, with no coefficients, moments or Cholesky factor.
 
     The cell quadrature orders n_r, n_t and n_strip default to None, which
     derives them from K_modes and cell.R0 (_quadrature_orders): a fixed rule
@@ -286,27 +273,26 @@ def compute_bands(
     Y = max(z.imag.max(), -z.imag.min())
     s = -2.0 * (folded - eta0) * Y
     M = _chebyshev_terms(float(np.abs(s).max()))
-    # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
-    # c_m = (2 - [m = 0]) / (M + 1) sum_j e^{s x_j} T_m(x_j)
-    x_cheb, T_cheb = _chebyshev_points(M)
-    c = np.exp(np.outer(s, x_cheb)) @ T_cheb * (2.0 / (M + 1))
-    c[:, 0] *= 0.5
     d = basis.dim_eff
-    # moment m is row m, flattened, so a fiber's combination is one product;
-    # M = 0 when every s is 0: a single folded eta, or all-real nodes (Y = 0)
-    if M:
+    if M == 0:
+        # every s is 0, so every fiber is A_0, with G_0 = I by orthonormality
+        row = _band_eigenvalues(compress(v * b, R.T), N_keep)
+        lambdas = np.tile(row, (folded.size, 1))
+    else:
+        # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
+        # c_m = (2 - [m = 0]) / (M + 1) sum_j e^{s x_j} T_m(x_j)
+        x_cheb = chebpts1(M + 1)
+        c = np.exp(np.outer(s, x_cheb)) @ chebvander(x_cheb, M) * (2.0 / (M + 1))
+        c[:, 0] *= 0.5
+        # moment m is row m, flattened, so a fiber's combination is one product
         x = np.repeat(z.imag / Y, 2)
         A_m, G_m = np.split(_chebyshev_moments(R, v, b, x, M), 2)
-    else:
-        A_m = compress(v * b, R.T).reshape(1, d * d)  # T_0 = 1, G_0 = I
-
-    lambdas = np.empty((folded.size, N_keep))
-    for i in range(folded.size):
-        A = (c[i] @ A_m).reshape(d, d)
-        if M:
+        lambdas = np.empty((folded.size, N_keep))
+        for i in range(folded.size):
+            A = (c[i] @ A_m).reshape(d, d)
             L = np.linalg.cholesky((c[i] @ G_m).reshape(d, d))
             A = np.linalg.solve(L, np.linalg.solve(L, A).T)
-        lambdas[i] = _band_eigenvalues(A, N_keep)
+            lambdas[i] = _band_eigenvalues(A, N_keep)
     return BandStructure(
         etas=etas,
         lambdas=lambdas[fiber],
@@ -356,15 +342,6 @@ def essential_spectrum(
     return components
 
 
-def _point_interval_dist(x: float, iv: tuple[float, float]) -> float:
-    lo, hi = iv
-    if x < lo:
-        return lo - x
-    if x > hi:
-        return x - hi
-    return 0.0
-
-
 def _interval_dist(a: tuple[float, float], b: tuple[float, float]) -> float:
     if a[1] < b[0]:
         return b[0] - a[1]
@@ -391,7 +368,7 @@ def gap_report(
     hits = []
     hit_idx: set[int] = set()
     for x in spec.targets:
-        dists = [_point_interval_dist(x, c) for c in components]
+        dists = [_interval_dist((x, x), c) for c in components]
         j = int(np.argmin(dists))
         ok = dists[j] <= spec.epsilon
         if ok:

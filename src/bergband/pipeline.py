@@ -80,6 +80,8 @@ class RunConfig:
         object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
         if not all(np.isfinite(self.targets)):
             raise ValueError(f"targets must be finite, got {list(self.targets)}")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError("targets must be pairwise distinct")
         if not (self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.delta_override is not None and not (0.0 < self.delta_override < np.inf):

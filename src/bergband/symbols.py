@@ -128,7 +128,8 @@ def synthesize_profile(targets) -> RadialProfile:
     Raises
     ------
     ValueError
-        If a target is NaN or infinite.
+        If a target is NaN or infinite, or the targets are so large that
+        the solved coefficients overflow.
     IllConditionedError
         If K > 5.  The Gram matrix is Hilbert-like, so conditioning degrades
         geometrically with K: its condition number first exceeds 1e12 at
@@ -148,6 +149,10 @@ def synthesize_profile(targets) -> RadialProfile:
 
     n = np.arange(1, K + 1)
     c = np.linalg.solve(_gram_matrix(K), x / (2.0 * (n + 1)))
+    if not np.all(np.isfinite(c)):
+        raise ValueError(
+            f"targets {x.tolist()} are too large: the profile coefficients overflow"
+        )
     return RadialProfile(coeffs=tuple(c))
 
 

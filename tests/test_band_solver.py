@@ -93,6 +93,21 @@ class TestComputeBands:
         assert bands.lambdas.shape == (len(grid), 6)
         assert np.array_equal(bands.lambdas, bands.lambdas[::-1])
 
+    def test_single_fiber_skips_expansion(self, monkeypatch, k3_profile):
+        # a grid that folds to one eta is one product and one eigensolve:
+        # sending it through the moment kernel made the 24-h study 15% slower
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the single-fiber path must not expand the twist")
+
+        monkeypatch.setattr(band_solver, "_chebyshev_moments", forbidden)
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        cell = CellGeometry(R0=0.35, h=0.05)
+        single = compute_bands(cell, k3_profile, [0.7])
+        pair = compute_bands(cell, k3_profile, [-0.7, 0.7])
+        assert np.array_equal(pair.lambdas, np.tile(single.lambdas, (2, 1)))
+        rows = h_convergence_study(k3_profile, [0.1, 0.05], eta=0.0)
+        assert [row["h"] for row in rows] == [0.1, 0.05]
+
     def test_band_holder_continuity(self, small_bands):
         # Adjacent-grid increments bounded by C sqrt(d_eta) with C fitted
         # from the coarse grid itself.

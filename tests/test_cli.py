@@ -62,6 +62,16 @@ class TestSynth:
         assert len(err) == 1 and err[0].startswith("error: --r0 ")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["synth", "disc-spec"])
+    def test_overflowing_target_usage_error(self, tmp_path, capsys, command):
+        # 1e308 is finite, but its profile coefficient is not
+        out = tmp_path / "out"
+        assert main([command, "--targets", "1e308", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: targets [1e+308] are too large: the profile coefficients overflow"]
+        assert not out.exists()
+
     def test_ill_conditioned_exit_code(self, tmp_path):
         targets = ",".join(str(t) for t in np.linspace(1.0, 0.1, 9))
         assert main(["synth", "--targets", targets]) == EXIT_NUMERICAL
@@ -225,6 +235,8 @@ class TestRunAndReport:
             ({**VALID_DOC, "n_t": 0}, "n_t"),
             ({**VALID_DOC, "n_strip": 0}, "n_strip"),
             ({**VALID_DOC, "R0": 0.5}, "R0"),
+            ({**VALID_DOC, "targets": [0.3, 0.3]}, "pairwise distinct"),
+            ({**VALID_DOC, "targets": [1e308]}, "targets [1e+308]"),
         ],
         ids=[
             "h_min-above-h_initial",
@@ -245,6 +257,8 @@ class TestRunAndReport:
             "n_t-zero",
             "n_strip-zero",
             "R0-half",
+            "duplicate-targets",
+            "overflowing-target",
         ],
     )
     @pytest.mark.parametrize("command", ["run", "report"])

@@ -78,6 +78,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"^{field}"):
             RunConfig(targets=(0.1,), **{field: value})
 
+    @pytest.mark.parametrize("targets", [(0.3, 0.3), (0.3, 0.2, 0.3)])
+    def test_duplicate_targets_rejected(self, targets):
+        # TargetSpec's rule, checked before synthesis: a repeated target
+        # would otherwise be reported as a target in the 0-cluster
+        with pytest.raises(ValueError, match="^targets must be pairwise distinct$"):
+            RunConfig(targets=targets)
+
     @given(_CONFIG_DOCS)
     @settings(max_examples=300, deadline=None)
     def test_from_json_config_or_value_error(self, doc):

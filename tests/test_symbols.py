@@ -54,6 +54,12 @@ class TestSynthesis:
         with pytest.raises(ValueError, match="targets"):
             synthesize_profile([0.3, bad])
 
+    @pytest.mark.parametrize("targets", [[1e308], [0.3, 1e306]])
+    def test_overflowing_coefficients_rejected(self, targets):
+        # finite targets whose coefficients overflow to inf
+        with pytest.raises(ValueError, match=r"^targets \[.*\] are too large"):
+            synthesize_profile(targets)
+
     def test_too_many_targets_rejected(self):
         with pytest.raises(IllConditionedError):
             synthesize_profile(list(np.linspace(1.0, 0.1, 9)))
