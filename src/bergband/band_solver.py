@@ -43,8 +43,6 @@ class BandStructure:
 
     etas: np.ndarray  # shape (n_eta,)
     lambdas: np.ndarray  # shape (n_eta, N_keep), real
-    cell: CellGeometry
-    profile: RadialProfile
     dim_eff: int
 
     @property
@@ -293,13 +291,7 @@ def compute_bands(
             L = np.linalg.cholesky((c[i] @ G_m).reshape(d, d))
             A = np.linalg.solve(L, np.linalg.solve(L, A).T)
             lambdas[i] = _band_eigenvalues(A, N_keep)
-    return BandStructure(
-        etas=etas,
-        lambdas=lambdas[fiber],
-        cell=cell,
-        profile=profile,
-        dim_eff=d,
-    )
+    return BandStructure(etas=etas, lambdas=lambdas[fiber], dim_eff=d)
 
 
 def _default_merge_tol(bands: BandStructure) -> float:
@@ -330,16 +322,8 @@ def essential_spectrum(
     vals = bands.lambdas.ravel().astype(float)
     vals = np.where(np.abs(vals) < zero_tol, 0.0, vals)
     vals = np.sort(np.concatenate([vals, [0.0]]))
-    components: list[tuple[float, float]] = []
-    lo = hi = vals[0]
-    for v in vals[1:]:
-        if v - hi <= merge_tol:
-            hi = v
-        else:
-            components.append((float(lo), float(hi)))
-            lo = hi = v
-    components.append((float(lo), float(hi)))
-    return components
+    runs = np.split(vals, np.flatnonzero(np.diff(vals) > merge_tol) + 1)
+    return [(float(run[0]), float(run[-1])) for run in runs]
 
 
 def _interval_dist(a: tuple[float, float], b: tuple[float, float]) -> float:

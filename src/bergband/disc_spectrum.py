@@ -37,15 +37,19 @@ N_SCAN = 128
 
 @dataclass(frozen=True)
 class DiscSpectrum:
-    """Eigenvalues ordered by decreasing modulus, with multiplicity."""
+    """Eigenvalues ordered by decreasing modulus, with multiplicity;
+    ``N_kept`` is their count."""
 
     eigenvalues: tuple[float, ...]
-    N_kept: int
 
     def __post_init__(self) -> None:
         mods = np.abs(self.eigenvalues)
         if np.any(np.diff(mods) > 1e-15):
             raise ValueError("eigenvalues must be ordered by decreasing modulus")
+
+    @property
+    def N_kept(self) -> int:
+        return len(self.eigenvalues)
 
 
 def moment_eigenvalue(profile: RadialProfile, n: int) -> float:
@@ -79,7 +83,7 @@ def compute_disc_spectrum(profile: RadialProfile, N_kept: int = 32) -> DiscSpect
     # Decreasing |lambda|; ties broken by decreasing signed value, then index.
     order = sorted(range(N_SCAN), key=lambda i: (-abs(lams[i]), -lams[i], i))
     kept = [lams[i] if abs(lams[i]) > ZERO_CLUSTER_TOL else 0.0 for i in order[:N_kept]]
-    return DiscSpectrum(eigenvalues=tuple(kept), N_kept=N_kept)
+    return DiscSpectrum(eigenvalues=tuple(kept))
 
 
 def _monomial_norm(R0: float, n: int) -> float:

@@ -61,23 +61,27 @@ class CellField:
 
 @dataclass(frozen=True)
 class FloquetField:
-    """Transform values g(z, eta_j) on the matched eta grid."""
+    """Transform values g(z, eta_j) on the exact dual grid eta_grid_for(M).
 
-    eta_grid: np.ndarray  # shape (2M+1,)
+    samples[j] holds the values at eta_j; the 2M+1 rows fix M and the grid.
+    """
+
     samples: np.ndarray  # complex, shape (2M+1, n_nodes)
     quad: QuadratureRule
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=complex)
-        g = np.asarray(self.eta_grid, dtype=float)
-        if s.shape[0] != g.size:
-            raise ValueError("eta grid size must equal the cell count")
+        if s.ndim != 2 or s.shape[0] % 2 != 1:
+            raise ValueError(f"samples must have shape (2M+1, n_nodes), got {s.shape}")
         object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "eta_grid", g)
 
     @property
     def M(self) -> int:
-        return (self.eta_grid.size - 1) // 2
+        return (self.samples.shape[0] - 1) // 2
+
+    @property
+    def eta_grid(self) -> np.ndarray:
+        return eta_grid_for(self.M)
 
 
 def _character_matrix(M: int) -> np.ndarray:
@@ -90,7 +94,7 @@ def _character_matrix(M: int) -> np.ndarray:
 def floquet_forward(field: CellField) -> FloquetField:
     E = _character_matrix(field.M)
     g = E @ field.samples / np.sqrt(2.0 * np.pi)
-    return FloquetField(eta_grid=eta_grid_for(field.M), samples=g, quad=field.quad)
+    return FloquetField(samples=g, quad=field.quad)
 
 
 def floquet_inverse(ff: FloquetField) -> CellField:
@@ -101,9 +105,6 @@ def floquet_inverse(ff: FloquetField) -> CellField:
     exact on the matched grid.
     """
     M = ff.M
-    expected = eta_grid_for(M)
-    if not np.allclose(ff.eta_grid, expected):
-        raise ValueError("eta grid does not match the exact discrete dual grid")
     E = _character_matrix(M)
     weight = 2.0 * np.pi / (2 * M + 1)
     f = (E.conj().T @ ff.samples) * weight / np.sqrt(2.0 * np.pi)
@@ -119,7 +120,7 @@ def field_norm(field: CellField) -> float:
 def floquet_norm(ff: FloquetField) -> float:
     """Norm on the transform side, with the 2 pi/(2M+1) eta measure."""
     w = ff.quad.weights
-    weight = 2.0 * np.pi / ff.eta_grid.size
+    weight = 2.0 * np.pi / ff.samples.shape[0]
     return float(np.sqrt(weight * np.sum(w * np.abs(ff.samples) ** 2)))
 
 
@@ -163,5 +164,5 @@ def quasimode_synthesize(
     g = np.zeros((etas.size, u.size), dtype=complex)
     for j in window:
         g[j] = amp * twist(mu, etas[j], u, basis.quad.nodes)
-    ff = FloquetField(eta_grid=etas, samples=g, quad=basis.quad)
+    ff = FloquetField(samples=g, quad=basis.quad)
     return floquet_inverse(ff)

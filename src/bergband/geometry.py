@@ -98,7 +98,10 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _gauss_segment(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_segment(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of order n mapped to [a, b].  The endpoints may
+    be arrays: they broadcast against the nodes on the last axis, so
+    columns a and b give one segment per row."""
     x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
@@ -129,14 +132,8 @@ def build_disc_quadrature(
     if any(not (0.0 < b < R0) for b in breaks):
         raise ValueError(f"radial breaks must lie strictly inside (0, {R0})")
 
-    edges = [0.0, *breaks, R0]
-    r_parts, w_parts = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        r, w = _gauss_segment(a, b, n_r)
-        r_parts.append(r)
-        w_parts.append(w)
-    r = np.concatenate(r_parts)
-    wr = np.concatenate(w_parts)
+    edges = np.array([0.0, *breaks, R0])[:, None]
+    r, wr = (g.ravel() for g in _gauss_segment(edges[:-1], edges[1:], n_r))
 
     theta = 2.0 * np.pi * np.arange(n_t) / n_t
     w_theta = 2.0 * np.pi / n_t
@@ -186,12 +183,11 @@ def build_cell_quadrature(
     on_axis = (k4 == n_t) | (k4 == 3 * n_t)
 
     # strip, right side: at each Gauss height y a Gauss rule in x from the
-    # circle to 1/2, one row per y, in the arithmetic of _gauss_segment
+    # circle to 1/2, one row per y
     y, wy = _gauss_segment(-h, h, n_strip)
-    t, wt = _leggauss(n_strip)
-    a = np.sqrt(R0**2 - y**2)[:, None]
-    strip_nodes = 0.5 * (0.5 - a) * t + 0.5 * (a + 0.5) + 1j * y[:, None]
-    strip_weights = 0.5 * (0.5 - a) * wt * wy[:, None]
+    x, wx = _gauss_segment(np.sqrt(R0**2 - y**2)[:, None], 0.5, n_strip)
+    strip_nodes = x + 1j * y[:, None]
+    strip_weights = wx * wy[:, None]
     half_nodes = np.concatenate([disc_nodes[:, right].ravel(), strip_nodes.ravel()])
     half_weights = np.concatenate([disc_weights[:, right].ravel(), strip_weights.ravel()])
     return QuadratureRule(

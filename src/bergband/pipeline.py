@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import CellGeometry
 from .symbols import RadialProfile, TargetSpec, synthesize_profile
-from .disc_spectrum import DiscSpectrum, compute_disc_spectrum, spectral_gap
+from .disc_spectrum import DiscSpectrum, compute_disc_spectrum, moment_eigenvalue, spectral_gap
 from .band_solver import (
     BandStructure,
     SpectrumReport,
@@ -130,7 +130,6 @@ class RunConfig:
 @dataclass(frozen=True)
 class RunResult:
     profile: RadialProfile
-    disc_spectrum: DiscSpectrum
     chosen_h: float
     band_structure: BandStructure | None
     spectrum_report: SpectrumReport
@@ -175,10 +174,20 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
     """Synthesize, then halve h until the gap report passes or h_min is hit.
 
     An empty target list passes trivially (zero symbol, spectrum = {0}).
-    Synthesis ill-conditioning raises; everything downstream reports a
-    verdict instead of raising.
+    Synthesis ill-conditioning raises, and so does a target whose disc
+    eigenvalue the synthesized profile misses by more than epsilon
+    (ValueError; cancellation among the coefficients of targets that span
+    many orders of magnitude).  Everything downstream reports a verdict
+    instead of raising.
     """
     profile = synthesize_profile(config.targets)
+    for n, x in enumerate(config.targets, start=1):
+        lam = moment_eigenvalue(profile, n)
+        if not (abs(lam - x) <= config.epsilon):  # NaN fails too
+            raise ValueError(
+                f"synthesis puts target {x!r} at {lam!r}, "
+                f"farther than epsilon={config.epsilon!r}"
+            )
     disc = compute_disc_spectrum(profile)
     diagnostics: dict = {
         "config": json.loads(config.to_json()),
@@ -194,7 +203,6 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
         )
         return RunResult(
             profile=profile,
-            disc_spectrum=disc,
             chosen_h=config.h_initial,
             band_structure=None,
             spectrum_report=report,
@@ -245,7 +253,6 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
         diagnostics["failure"] = f"h fell below h_min={config.h_min} without a pass"
     return RunResult(
         profile=profile,
-        disc_spectrum=disc,
         chosen_h=h,
         band_structure=bands,
         spectrum_report=report,

@@ -72,8 +72,9 @@ class TwistedBasis:
     parent, sign : ndarray of int, shape (dim_eff,)
         Column j >= 1 came from e^{2 pi i sign[j] z} times column
         parent[j]; entry 0, the seed, holds 0 in both.
-    dim_eff : int
-        Number of directions that survived the conditioning cutoff.
+
+    ``dim_eff``, the number of directions that survived the conditioning
+    cutoff, is the column count of Q.
     """
 
     eta: float
@@ -81,9 +82,12 @@ class TwistedBasis:
     H: np.ndarray
     parent: np.ndarray
     sign: np.ndarray
-    dim_eff: int
     cell: CellGeometry
     quad: QuadratureRule
+
+    @property
+    def dim_eff(self) -> int:
+        return self.Q.shape[1]
 
     def evaluate(self, z: complex | np.ndarray) -> np.ndarray:
         """Basis column values at arbitrary points, shape (z.size, dim_eff).
@@ -190,7 +194,6 @@ def build_basis(
         H=H[:m, :m],
         parent=parent[:m],
         sign=sign[:m],
-        dim_eff=m,
         cell=cell,
         quad=quad,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import warnings
 
@@ -65,6 +66,11 @@ class TestComputeBands:
         mods = np.abs(small_bands.lambdas)
         assert np.all(np.diff(mods, axis=1) <= 1e-12)
 
+    def test_no_cell_or_profile_stored(self, small_bands):
+        # the caller has both; nothing reads a copy of them
+        names = {f.name for f in dataclasses.fields(small_bands)}
+        assert names.isdisjoint({"cell", "profile"})
+
     def test_band_symmetry_in_eta(self, small_bands):
         # lambda_n(-eta) = lambda_n(eta): complex conjugation maps the
         # eta-fiber to the (-eta)-fiber and leaves the real symbol fixed.
@@ -108,14 +114,14 @@ class TestComputeBands:
         rows = h_convergence_study(k3_profile, [0.1, 0.05], eta=0.0)
         assert [row["h"] for row in rows] == [0.1, 0.05]
 
-    def test_band_holder_continuity(self, small_bands):
+    def test_band_holder_continuity(self, small_bands, k3_profile):
         # Adjacent-grid increments bounded by C sqrt(d_eta) with C fitted
         # from the coarse grid itself.
         d_eta = np.diff(small_bands.etas)[0]
         incr = np.max(np.abs(np.diff(small_bands.lambdas, axis=0)))
         C = incr / np.sqrt(d_eta)
         fine = compute_bands(
-            small_bands.cell, small_bands.profile,
+            CellGeometry(R0=0.35, h=0.05), k3_profile,
             np.linspace(-np.pi, np.pi, 33), K_modes=10, N_keep=6,
         )
         incr_fine = np.max(np.abs(np.diff(fine.lambdas, axis=0)))

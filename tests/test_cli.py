@@ -237,6 +237,10 @@ class TestRunAndReport:
             ({**VALID_DOC, "R0": 0.5}, "R0"),
             ({**VALID_DOC, "targets": [0.3, 0.3]}, "pairwise distinct"),
             ({**VALID_DOC, "targets": [1e308]}, "targets [1e+308]"),
+            # synthesis misses a target by more than epsilon
+            ({**VALID_DOC, "targets": [1e20, 0.1]}, "synthesis puts target"),
+            ({**VALID_DOC, "targets": [1e100, 0.1]}, "synthesis puts target"),
+            ({**VALID_DOC, "targets": [1e14, 0.1]}, "synthesis puts target"),
         ],
         ids=[
             "h_min-above-h_initial",
@@ -259,6 +263,9 @@ class TestRunAndReport:
             "R0-half",
             "duplicate-targets",
             "overflowing-target",
+            "unreproducible-1e20",
+            "unreproducible-1e100",
+            "unreproducible-1e14",
         ],
     )
     @pytest.mark.parametrize("command", ["run", "report"])

@@ -83,7 +83,15 @@ class TestComputeDiscSpectrum:
 
     def test_invalid_ordering_rejected(self):
         with pytest.raises(ValueError):
-            DiscSpectrum(eigenvalues=(0.1, 0.5), N_kept=2)
+            DiscSpectrum(eigenvalues=(0.1, 0.5))
+
+    def test_count_is_derived(self):
+        # N_kept is the eigenvalue count, so spectral_gap cannot index past it
+        spec = DiscSpectrum((0.3, 0.2))
+        assert spec.N_kept == 2
+        assert spectral_gap(spec, 1) == pytest.approx(0.1)
+        with pytest.raises(ValueError):
+            spectral_gap(spec, 2)
 
 
 class TestGalerkinMatrix:
@@ -129,11 +137,11 @@ class TestSpectralGap:
         assert spectral_gap(spec, 4) == pytest.approx(0.1 - 0.03885, abs=1e-4)
 
     def test_zero_spectrum(self):
-        spec = DiscSpectrum(eigenvalues=(0.0, 0.0, 0.0), N_kept=3)
+        spec = DiscSpectrum(eigenvalues=(0.0, 0.0, 0.0))
         assert spectral_gap(spec, 1) == 0.0
 
     def test_multiplicity_gives_zero_gap(self):
-        spec = DiscSpectrum(eigenvalues=(1.0, 1.0, 0.5), N_kept=3)
+        spec = DiscSpectrum(eigenvalues=(1.0, 1.0, 0.5))
         assert spectral_gap(spec, 1) == 0.0
 
     def test_out_of_range(self, k3_profile):

@@ -83,7 +83,7 @@ class TestInverse:
         M = 3
         g = rng.standard_normal(tiny_quad.nodes.size) / np.sqrt(2 * np.pi)
         samples = np.tile(g, (2 * M + 1, 1)).astype(complex)
-        ff = FloquetField(eta_grid=eta_grid_for(M), samples=samples, quad=tiny_quad)
+        ff = FloquetField(samples=samples, quad=tiny_quad)
         f = floquet_inverse(ff)
         mags = np.linalg.norm(f.samples, axis=1)
         assert mags[M] > 1e-8
@@ -99,14 +99,15 @@ class TestInverse:
             floquet_norm(ff), rel=1e-10
         )
 
-    def test_mismatched_grid_rejected(self, tiny_quad, rng):
-        f = random_field(rng, 3, tiny_quad)
-        ff = floquet_forward(f)
-        bad = FloquetField(
-            eta_grid=ff.eta_grid + 0.01, samples=ff.samples, quad=tiny_quad
-        )
-        with pytest.raises(ValueError):
-            floquet_inverse(bad)
+    def test_grid_is_the_dual_grid(self, tiny_quad, rng):
+        # the grid is derived from the row count, so no other grid can be built
+        ff = floquet_forward(random_field(rng, 3, tiny_quad))
+        assert ff.M == 3
+        assert np.array_equal(ff.eta_grid, eta_grid_for(3))
+
+    def test_even_row_count_rejected(self, tiny_quad):
+        with pytest.raises(ValueError, match="2M\\+1"):
+            FloquetField(samples=np.zeros((4, tiny_quad.nodes.size)), quad=tiny_quad)
 
     @given(st.integers(min_value=1, max_value=12))
     @settings(max_examples=12, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bergband.symbols import IllConditionedError
 from bergband.disc_spectrum import compute_disc_spectrum
-from bergband.pipeline import RunConfig, run_prescribed_spectrum, choose_gap_index
+from bergband.pipeline import RunConfig, RunResult, run_prescribed_spectrum, choose_gap_index
 
 
 # JSON values of every type, including ints beyond the float range
@@ -119,6 +120,18 @@ class TestRunPrescribedSpectrum:
     def test_ill_conditioned_targets_raise(self):
         with pytest.raises(IllConditionedError):
             run_prescribed_spectrum(RunConfig(targets=tuple(np.linspace(1, 0.1, 9))))
+
+    @pytest.mark.parametrize("targets", [(1e20, 0.1), (1e100, 0.1), (1e14, 0.1)])
+    def test_unreproducible_target_rejected(self, targets):
+        # cancellation among the coefficients moves the small target (or,
+        # at 1e100, the large one by rounding alone) far beyond epsilon
+        with pytest.raises(ValueError, match=r"^synthesis puts target .* epsilon=0\.02$"):
+            run_prescribed_spectrum(RunConfig(targets=targets))
+
+    def test_no_disc_spectrum_stored(self):
+        # diagnostics["disc_top"] keeps what a reader of the run needs
+        names = {f.name for f in dataclasses.fields(RunResult)}
+        assert "disc_spectrum" not in names
 
     def test_three_targets_pass(self, fast_config):
         result = run_prescribed_spectrum(fast_config)

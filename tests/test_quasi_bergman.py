@@ -59,7 +59,6 @@ def mgs_reference_basis(cell, eta, K_modes, quad):
         H=H[:d, :d],
         parent=np.array(parent),
         sign=np.array(sign),
-        dim_eff=d,
         cell=cell,
         quad=quad,
     )
