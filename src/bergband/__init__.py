@@ -29,6 +29,7 @@ from .band_solver import (
     SpectrumReport,
     toeplitz_matrix,
     compute_bands,
+    band_structures,
     essential_spectrum,
     gap_report,
     h_convergence_study,

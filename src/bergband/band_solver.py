@@ -10,14 +10,25 @@ prescribed targets, and track convergence as the ligament width h shrinks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebvander
 
-from .geometry import CellGeometry, build_cell_quadrature, compress, mirror_half
+# build_cell_quadrature is not called here; it stays importable from this
+# module for the per-fiber reference (build_basis on the full cell rule, then
+# toeplitz_matrix), while band_structures composes the rule's two pieces
+from .geometry import (
+    CellGeometry,
+    build_cell_disc_quadrature,
+    build_cell_quadrature,
+    build_cell_strip_quadrature,
+    compress,
+    mirror_half,
+)
 from .quasi_bergman import TwistedBasis, build_basis
 from .symbols import RadialProfile, TargetSpec, eval_cell_symbol
 from .disc_spectrum import N_SCAN, compute_disc_spectrum
@@ -27,6 +38,7 @@ __all__ = [
     "SpectrumReport",
     "toeplitz_matrix",
     "compute_bands",
+    "band_structures",
     "essential_spectrum",
     "gap_report",
     "h_convergence_study",
@@ -114,7 +126,7 @@ _MOMENT_CHUNK = 1024
 def _chebyshev_moments(
     R: np.ndarray, v: np.ndarray, b: np.ndarray, x: np.ndarray, M: int
 ) -> np.ndarray:
-    """The 2 (M + 1) real moments R diag(u) R^T of compute_bands, M >= 1,
+    """The 2 (M + 1) real moments R diag(u) R^T of band_structures, M >= 1,
     for the weight rows u = v b T_m(x), m = 0..M, then u = v T_m(x),
     m = 0..M, returned as the rows of a 2 (M + 1) x d^2 array, each a
     flattened d x d matrix.  R is d x n, its rows the basis columns on the
@@ -176,8 +188,8 @@ def _quadrature_orders(K_modes: int, R0: float) -> tuple[int, int, int]:
 _FOLD_TOL = 8.0 * np.finfo(float).eps * np.pi
 
 
-def compute_bands(
-    cell: CellGeometry,
+def band_structures(
+    cells: Iterable[CellGeometry],
     profile: RadialProfile,
     eta_grid: Sequence[float],
     K_modes: int = 10,
@@ -185,8 +197,13 @@ def compute_bands(
     n_r: int | None = None,
     n_t: int | None = None,
     n_strip: int | None = None,
-) -> BandStructure:
-    """Band structure over an eta grid from one basis per geometry.
+) -> Iterator[BandStructure]:
+    """Band structures over an eta grid, one per cell, from one disc stage.
+
+    The cells share R0 and differ only in the ligament: each h after the
+    first must be at most the first (ValueError).  The generator is lazy,
+    so a caller that stops early (the h-loop of the pipeline) computes no
+    further cell.
 
     The grid is folded first.  Conjugation f(z) -> conj f(conj z) maps the
     eta-fiber antiunitarily onto the (-eta)-fiber; the cell, its rule (for
@@ -194,18 +211,41 @@ def compute_bands(
     lambda_n(-eta) = lambda_n(eta).  Each eta is therefore mapped to |eta|,
     sorted |eta| that agree to within _FOLD_TOL (a few ulp of pi, since a
     grid such as linspace(-pi, pi, 65) is not bitwise symmetric) are merged,
-    each distinct |eta| is solved once, and the rows of the returned
+    each distinct |eta| is solved once, and the rows of every returned
     BandStructure, which keeps the caller's grid and order, are copies of
     those solutions.  A grid {-eta, eta} is a single fiber.
 
+    The disc stage runs once.  The disc, the symbol b (zero on the strip)
+    and the disc part of the cell rule (geometry.build_cell_disc_quadrature)
+    do not depend on h.  On that disc rule the basis E is orthonormalized
+    once (build_basis, "Vandermonde with Arnoldi"), at the middle eta0 of
+    the folded range, and the disc moments A_m and G_m (below) are formed.
+
+    Each cell then adds only its strip, as rows appended to a QR
+    factorization (Golub and Van Loan, Matrix Computations, 6.5).  The rows
+    are the basis on the right half of the strip (TwistedBasis.evaluate),
+    real (re, im) pairs scaled by sqrt(2 w), and R = qr([I; rows]) has
+    R^T R = I + S, the cell Gram matrix of E.  So E R^-1 spans the same
+    space and is orthonormal on the cell; it is the cell-orthonormal basis
+    up to column signs, which leave the bands unchanged.  Every disc moment
+    moves to it as R^-T X R^-1, and ||R^-1|| <= 1 since R^T R >= I, so the
+    move never amplifies rounding.  The Gram matrix I + S itself is never
+    formed: its condition number reaches 9e11 (R0 0.26, K 24, h 0.1), where
+    bands from its Cholesky factor are off by 3e-9.  The strip's own G_m are
+    added in the basis E R^-1; the strip adds nothing to A_m.  What remains
+    is the rounding of E on the strip, outside the disc it is orthonormal
+    on, where it grows with K and the strip's length 1/2 - R0: against a
+    basis orthonormalized on the whole cell the bands agree to 1e-12 up to
+    K 24, but to 2.8e-12 at K 32 and 1.9e-10 at K 40 (R0 0.26, h 0.1).
+
     The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the
-    eta-fiber space, so the basis Q0 is orthonormalized once, at the middle
-    eta0 of the folded range, and each fiber is the generalized problem
-    A x = lambda G x in the twisted columns, with the d x d matrices
-    G = Q0^H diag(w t) Q0 and A = Q0^H diag(w b t) Q0, where
+    eta-fiber space, so each fiber is the generalized problem A x = lambda G x
+    in the twisted columns of the cell-orthonormal basis Q0, with the d x d
+    matrices G = Q0^H diag(w t) Q0 and A = Q0^H diag(w b t) Q0, where
     t = |e^{i (eta - eta0) z}|^2 = e^{s x} with x = Im z / Y in [-1, 1],
-    Y = max |Im z| over the nodes and s = -2 (eta - eta0) Y.  It is solved
-    as eigvalsh(L^-1 A L^-T) with G = L L^T; cond G <= e^{2 |s|}.
+    Y = max |Im z| over the disc and the first (widest) strip and
+    s = -2 (eta - eta0) Y.  It is solved as eigvalsh(L^-1 A L^-T) with
+    G = L L^T; cond G <= e^{2 |s|}.
 
     No fiber touches an n-node array.  e^{s x} is entire in x, and its
     Chebyshev series sum_m c_m(s) T_m(x) converges superexponentially
@@ -223,20 +263,23 @@ def compute_bands(
 
     Every moment is real symmetric.  The cell, the rule, the radial symbol
     b and x are invariant under the mirror z -> -conj(z), and every column
-    of Q0 obeys q(-conj z) = conj q(z) (build_basis), so each sum over the
+    of E obeys q(-conj z) = conj q(z) (build_basis), so each sum over the
     rule is the real sum over its half (geometry.mirror_half) with the
-    columns' (re, im) pairs as the rows of a real matrix R.  So all moments,
-    Cholesky factors, solves and eigensolves are real.  All 2 (M + 1)
-    moments come from one product per chunk of R's columns, over the upper
-    triangle (_chebyshev_moments).
+    columns' (re, im) pairs as the rows of a real matrix.  So all moments,
+    QR and Cholesky factors, solves and eigensolves are real.  The 2 (M + 1)
+    disc moments come from one product per chunk of the disc's columns, over
+    the upper triangle (_chebyshev_moments).  The strip's nodes come in rows
+    of one height y (geometry.build_cell_strip_quadrature), so its M + 1 G_m
+    are T_m(y / Y) times one d x d product per row, summed.
 
     M = 0 (every s is 0: a grid that folds to a single point eta0, or
     all-real nodes) is settled before any expansion: every fiber is the one
-    product A_0 = compress(v b, R^T), with G_0 = I by orthonormality, and one
-    eigensolve, with no coefficients, moments or Cholesky factor.
+    matrix R^-T A_0 R^-1, with A_0 = compress(v b, E^T) and G = I by
+    orthonormality, and one eigensolve, with no coefficients, further
+    moments or Cholesky factor.
 
     The cell quadrature orders n_r, n_t and n_strip default to None, which
-    derives them from K_modes and cell.R0 (_quadrature_orders): a fixed rule
+    derives them from K_modes and R0 (_quadrature_orders): a fixed rule
     would integrate the products of high modes wrongly once K_modes or R0
     grows.  An order given explicitly is used as given; n_t must be even,
     or the rule has no mirror half (ValueError).
@@ -246,9 +289,13 @@ def compute_bands(
         raise ValueError("eta grid must be nonempty")
     if not np.all(np.abs(etas) <= np.pi + 1e-12):  # NaN fails too
         raise ValueError("eta grid must lie within [-pi, pi]")
+    cells = iter(cells)
+    first = next(cells, None)
+    if first is None:
+        return
     n_r, n_t, n_strip = (
         given if given is not None else derived
-        for given, derived in zip((n_r, n_t, n_strip), _quadrature_orders(K_modes, cell.R0))
+        for given, derived in zip((n_r, n_t, n_strip), _quadrature_orders(K_modes, first.R0))
     )
     # fold: etas[i] is solved as folded[fiber[i]]
     order = np.argsort(np.abs(etas), kind="stable")
@@ -258,40 +305,83 @@ def compute_bands(
     fiber = np.empty(etas.size, dtype=int)
     fiber[order] = np.cumsum(new) - 1
 
-    quad = build_cell_quadrature(cell, n_r=n_r, n_t=n_t, n_strip=n_strip)
-    n_half, v = mirror_half(quad)
-    z = quad.nodes[:n_half]
-    b = np.repeat(eval_cell_symbol(profile, cell, z), 2)
+    # the disc stage
+    strip = build_cell_strip_quadrature(first, n_strip)
+    disc = build_cell_disc_quadrature(first.R0, n_r, n_t)
+    n_half, v = mirror_half(disc)
+    z = disc.nodes[:n_half]
+    b = np.repeat(eval_cell_symbol(profile, first, z), 2)
     eta0 = 0.5 * (folded[0] + folded[-1])
-    basis = build_basis(cell, eta0, K_modes, quad)
+    basis = build_basis(first, eta0, K_modes, disc)
     # the columns' (re, im) pairs on the half rule as rows: a view, since
     # build_basis stores the columns of Q as the rows of its buffer
-    R = basis.Q[:n_half].T.view(float)
-
-    Y = max(z.imag.max(), -z.imag.min())
+    E = basis.Q[:n_half].T.view(float)
+    d = basis.dim_eff
+    Y = max(np.abs(z.imag).max(), np.abs(strip.nodes.imag).max())
     s = -2.0 * (folded - eta0) * Y
     M = _chebyshev_terms(float(np.abs(s).max()))
-    d = basis.dim_eff
     if M == 0:
-        # every s is 0, so every fiber is A_0, with G_0 = I by orthonormality
-        row = _band_eigenvalues(compress(v * b, R.T), N_keep)
-        lambdas = np.tile(row, (folded.size, 1))
+        A_0 = compress(v * b, E.T)
     else:
         # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
         # c_m = (2 - [m = 0]) / (M + 1) sum_j e^{s x_j} T_m(x_j)
         x_cheb = chebpts1(M + 1)
         c = np.exp(np.outer(s, x_cheb)) @ chebvander(x_cheb, M) * (2.0 / (M + 1))
         c[:, 0] *= 0.5
-        # moment m is row m, flattened, so a fiber's combination is one product
-        x = np.repeat(z.imag / Y, 2)
-        A_m, G_m = np.split(_chebyshev_moments(R, v, b, x, M), 2)
-        lambdas = np.empty((folded.size, N_keep))
-        for i in range(folded.size):
-            A = (c[i] @ A_m).reshape(d, d)
-            L = np.linalg.cholesky((c[i] @ G_m).reshape(d, d))
-            A = np.linalg.solve(L, np.linalg.solve(L, A).T)
-            lambdas[i] = _band_eigenvalues(A, N_keep)
-    return BandStructure(etas=etas, lambdas=lambdas[fiber], dim_eff=d)
+        moments = _chebyshev_moments(E, v, b, np.repeat(z.imag / Y, 2), M)
+        A_m, G_m = np.split(moments.reshape(-1, d, d), 2)
+
+    for cell in itertools.chain([first], cells):
+        if cell.R0 != first.R0 or cell.h > first.h:
+            raise ValueError(
+                f"every cell must have R0={first.R0} and h <= {first.h}, got {cell}"
+            )
+        if cell is not first:
+            strip = build_cell_strip_quadrature(cell, n_strip)
+        # the basis columns on the right half of the strip as rows of (re, im) pairs
+        F = basis.evaluate(strip.nodes).T.view(float)
+        vs = np.repeat(2.0 * strip.weights, 2)
+        R = np.linalg.qr(np.hstack([np.eye(d), F * np.sqrt(vs)]).T, mode="r")
+        R_inv = np.linalg.inv(R)
+        if M == 0:
+            # G = I, so every fiber is A_0 in the cell-orthonormal basis
+            row = _band_eigenvalues(R_inv.T @ A_0 @ R_inv, N_keep)
+            lambdas = np.tile(row, (folded.size, 1))
+        else:
+            A_cell = (R_inv.T @ A_m @ R_inv).reshape(M + 1, d * d)
+            # the strip's G_m in the basis E R^-1: its nodes come in rows of
+            # one height y, so T_m(y / Y) weighs one d x d product per row
+            Fr = (R_inv.T @ F).reshape(d, n_strip, -1).transpose(1, 0, 2)
+            rows = (Fr * vs.reshape(n_strip, 1, -1)) @ Fr.transpose(0, 2, 1)
+            T = chebvander(strip.nodes.imag[::n_strip] / Y, M).T
+            G_cell = (R_inv.T @ G_m @ R_inv).reshape(M + 1, d * d)
+            G_cell += T @ rows.reshape(n_strip, d * d)
+            lambdas = np.empty((folded.size, N_keep))
+            for i in range(folded.size):
+                A = (c[i] @ A_cell).reshape(d, d)
+                L = np.linalg.cholesky((c[i] @ G_cell).reshape(d, d))
+                A = np.linalg.solve(L, np.linalg.solve(L, A).T)
+                lambdas[i] = _band_eigenvalues(A, N_keep)
+        yield BandStructure(etas=etas, lambdas=lambdas[fiber], dim_eff=d)
+
+
+def compute_bands(
+    cell: CellGeometry,
+    profile: RadialProfile,
+    eta_grid: Sequence[float],
+    K_modes: int = 10,
+    N_keep: int = 8,
+    n_r: int | None = None,
+    n_t: int | None = None,
+    n_strip: int | None = None,
+) -> BandStructure:
+    """Band structure of one cell over an eta grid: the one-cell case of
+    band_structures, which holds the method.  The basis is orthonormalized
+    on the disc part of the cell rule and the strip enters as one QR update;
+    each distinct |eta| is one d x d eigensolve."""
+    return next(
+        band_structures([cell], profile, eta_grid, K_modes, N_keep, n_r, n_t, n_strip)
+    )
 
 
 def _default_merge_tol(bands: BandStructure) -> float:
@@ -391,17 +481,21 @@ def h_convergence_study(
     eigenvalues.  Pairing by modulus rank would never converge when targets
     +x and -x share a modulus: the fiber and the oracle may order them
     differently.
+
+    Every cell is built, and so every h checked, before any band work.  The
+    bands come from one band_structures pass: the basis and the disc moments
+    are formed once, on the disc, and each h adds its ligament as one d x d
+    QR update.
     """
     hs = [float(h) for h in h_list]
     if not hs:
         raise ValueError("h_list must be nonempty")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("h_list must be strictly decreasing")
+    cells = [CellGeometry(R0=R0, h=h) for h in hs]
     oracle = np.array(compute_disc_spectrum(profile, N_kept=N_SCAN).eigenvalues)
     rows = []
-    for h in hs:
-        cell = CellGeometry(R0=R0, h=h)
-        bands = compute_bands(cell, profile, [eta], K_modes=K_modes, N_keep=n_track)
+    for h, bands in zip(hs, band_structures(cells, profile, [eta], K_modes, n_track)):
         lams = bands.lambdas[0]
         rows.append(
             {

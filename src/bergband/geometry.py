@@ -22,6 +22,8 @@ __all__ = [
     "QuadratureRule",
     "build_disc_quadrature",
     "build_cell_quadrature",
+    "build_cell_disc_quadrature",
+    "build_cell_strip_quadrature",
     "compress",
     "contains",
     "mirror_half",
@@ -143,56 +145,81 @@ def build_disc_quadrature(
     return QuadratureRule(nodes, weights)
 
 
+def build_cell_disc_quadrature(
+    R0: float,
+    n_r: int = 24,
+    n_t: int = 48,
+) -> QuadratureRule:
+    """The disc part of ``build_cell_quadrature``, mirror-ordered on its own.
+
+    The polar rule of ``build_disc_quadrature``, split radially at ``R0/2``
+    (the synthesized symbols are supported in ``|z| <= R0/2`` and jump at
+    that circle), listed as: the nodes with Re z > 0, then those with
+    Re z = 0 (exact zeros), then the mirrors -conj(z) of the first block,
+    bitwise and in the same order, with the same weights (``mirror_half``).
+    It depends on R0 alone, not on the ligament.  The angle pi - theta must
+    be on the grid with every theta, so ``n_t`` must be even.
+    """
+    if n_t % 2:
+        raise ValueError(f"n_t must be even for a mirror-symmetric cell rule, got n_t={n_t}")
+    disc = build_disc_quadrature(R0, n_r, n_t, radial_breaks=(R0 / 2.0,))
+    nodes = disc.nodes.reshape(-1, n_t)  # one row per radius, angle 2 pi k / n_t
+    weights = disc.weights.reshape(-1, n_t)
+    # the side of angle k is decided in integers: cos(pi / 2) is not 0 in floats
+    k4 = 4 * np.arange(n_t)
+    right = (k4 < n_t) | (k4 > 3 * n_t)
+    on_axis = (k4 == n_t) | (k4 == 3 * n_t)
+    right_nodes = nodes[:, right].ravel()
+    right_weights = weights[:, right].ravel()
+    return QuadratureRule(
+        np.concatenate([right_nodes, 1j * nodes[:, on_axis].imag.ravel(), -right_nodes.conj()]),
+        np.concatenate([right_weights, weights[:, on_axis].ravel(), right_weights]),
+    )
+
+
+def build_cell_strip_quadrature(cell: CellGeometry, n_strip: int = 16) -> QuadratureRule:
+    """The right half (Re z > 0) of the strip part of ``build_cell_quadrature``.
+
+    It covers only ``{z in S_h : Re z > sqrt(R0^2 - (Im z)^2)}``, so no area
+    is counted twice with the disc: for each of ``n_strip`` Gauss heights
+    ``y`` in ``(-h, h)`` a mapped Gauss rule of order ``n_strip`` integrates
+    ``Re z`` from the circle to the cell edge 1/2; the curved inner boundary
+    is thus resolved exactly per line, with no meshing.  The nodes are
+    listed in rows of ``n_strip``, one row per height ``y``, the heights
+    increasing.  The left half is its mirror image -conj(z).
+    """
+    if n_strip < 1:
+        raise ValueError(f"n_strip must be >= 1, got {n_strip}")
+    y, wy = _gauss_segment(-cell.h, cell.h, n_strip)
+    x, wx = _gauss_segment(np.sqrt(cell.R0**2 - y**2)[:, None], 0.5, n_strip)
+    return QuadratureRule((x + 1j * y[:, None]).ravel(), (wx * wy[:, None]).ravel())
+
+
 def build_cell_quadrature(
     cell: CellGeometry,
     n_r: int = 24,
     n_t: int = 48,
     n_strip: int = 16,
 ) -> QuadratureRule:
-    """Quadrature over the full cell: disc rule plus strip-minus-lens pieces.
-
-    The strip contribution covers only ``{z in S_h : |Re z| > sqrt(R0^2 - (Im z)^2)}``
-    so no area is double-counted.  For each Gauss node ``y`` in ``(-h, h)``
-    a mapped 1-D Gauss rule integrates ``Re z`` from the circle to the cell
-    edge, on both sides; the curved inner boundary is thus resolved exactly
-    per line, with no meshing.
-
-    The disc part is split radially at ``R0/2`` because the symbols this
-    package integrates are supported in ``|z| <= R0/2`` and jump at that
-    circle.
+    """Quadrature over the full cell: the disc rule of
+    ``build_cell_disc_quadrature`` plus the strip-minus-lens rule of
+    ``build_cell_strip_quadrature`` and its mirror image.
 
     The cell is symmetric under the mirror z -> -conj(z), and so is the
-    rule, in a fixed order: first the nodes with Re z > 0, then those with
-    Re z = 0, then the mirrors -conj(z) of the first block, bitwise and in
-    the same order, with the same weights (see ``mirror_half``).  The disc
-    angle pi - theta must be on the grid with every theta, so ``n_t`` must
-    be even.
+    rule, in a fixed order: first the nodes with Re z > 0 (the disc's, then
+    the strip's), then those with Re z = 0, then the mirrors -conj(z) of the
+    first block, bitwise and in the same order, with the same weights (see
+    ``mirror_half``).  ``n_t`` must be even.
     """
-    if n_strip < 1:
-        raise ValueError(f"n_strip must be >= 1, got {n_strip}")
-    if n_t % 2:
-        raise ValueError(f"n_t must be even for a mirror-symmetric cell rule, got n_t={n_t}")
-    R0, h = cell.R0, cell.h
-
-    disc = build_disc_quadrature(R0, n_r, n_t, radial_breaks=(R0 / 2.0,))
-    disc_nodes = disc.nodes.reshape(-1, n_t)  # one row per radius, angle 2 pi k / n_t
-    disc_weights = disc.weights.reshape(-1, n_t)
-    # the side of angle k is decided in integers: cos(pi / 2) is not 0 in floats
-    k4 = 4 * np.arange(n_t)
-    right = (k4 < n_t) | (k4 > 3 * n_t)
-    on_axis = (k4 == n_t) | (k4 == 3 * n_t)
-
-    # strip, right side: at each Gauss height y a Gauss rule in x from the
-    # circle to 1/2, one row per y
-    y, wy = _gauss_segment(-h, h, n_strip)
-    x, wx = _gauss_segment(np.sqrt(R0**2 - y**2)[:, None], 0.5, n_strip)
-    strip_nodes = x + 1j * y[:, None]
-    strip_weights = wx * wy[:, None]
-    half_nodes = np.concatenate([disc_nodes[:, right].ravel(), strip_nodes.ravel()])
-    half_weights = np.concatenate([disc_weights[:, right].ravel(), strip_weights.ravel()])
+    strip = build_cell_strip_quadrature(cell, n_strip)
+    disc = build_cell_disc_quadrature(cell.R0, n_r, n_t)
+    n_off = int(np.count_nonzero(disc.nodes.real > 0.0))
+    axis = slice(n_off, disc.nodes.size - n_off)
+    half_nodes = np.concatenate([disc.nodes[:n_off], strip.nodes])
+    half_weights = np.concatenate([disc.weights[:n_off], strip.weights])
     return QuadratureRule(
-        np.concatenate([half_nodes, 1j * disc_nodes[:, on_axis].imag.ravel(), -half_nodes.conj()]),
-        np.concatenate([half_weights, disc_weights[:, on_axis].ravel(), half_weights]),
+        np.concatenate([half_nodes, disc.nodes[axis], -half_nodes.conj()]),
+        np.concatenate([half_weights, disc.weights[axis], half_weights]),
     )
 
 

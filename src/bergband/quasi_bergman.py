@@ -129,7 +129,8 @@ def build_basis(
     pre-projection norm is discarded, and its chain stops, since further
     multiples would inherit the dependency.
 
-    ``quad`` must be mirror-ordered (``build_cell_quadrature``, even n_t).
+    ``quad`` must be mirror-ordered (``build_cell_quadrature`` or its disc
+    part ``build_cell_disc_quadrature``, even n_t).
     Every raw mode obeys e^{ia(-conj z)} = conj e^{iaz}, and so, by
     induction, does every column: the projections are real, and real
     combinations keep the symmetry.  So the recurrence runs on the half rule

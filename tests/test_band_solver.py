@@ -12,6 +12,7 @@ from bergband.symbols import RadialProfile, TargetSpec, synthesize_profile
 from bergband.disc_spectrum import compute_disc_spectrum
 from bergband.quasi_bergman import build_basis
 from bergband.band_solver import (
+    band_structures,
     compute_bands,
     toeplitz_matrix,
     essential_spectrum,
@@ -211,6 +212,86 @@ class TestComputeBands:
             compute_bands(CellGeometry(0.35, 0.05), k3_profile, [0.0, np.nan])
 
 
+def _reference_bands(cell, profile, eta, K, N_keep):
+    """The fiber at eta from a basis orthonormalized on the full cell rule."""
+    quad = build_cell_quadrature(cell, *band_solver._quadrature_orders(K, cell.R0))
+    basis = build_basis(cell, eta, K, quad)
+    ev = np.linalg.eigvalsh(toeplitz_matrix(cell, profile, basis))
+    return ev[np.argsort(-np.abs(ev), kind="stable")][:N_keep], basis.dim_eff
+
+
+class TestBandStructures:
+    @pytest.mark.parametrize(
+        "grid, checked",
+        [
+            ([1.1], (0,)),
+            (np.linspace(-np.pi, np.pi, 65), (0, 21, 32, 47)),
+            ([-2.0, -0.4, 1.1], (0, 1, 2)),
+        ],
+        ids=["single", "folded-65", "mixed-sign"],
+    )
+    @pytest.mark.parametrize("K", [10, 16, 24])
+    @pytest.mark.parametrize("R0", [0.26, 0.35, 0.49])
+    def test_split_matches_full_cell_basis(self, k3_profile, R0, K, grid, checked):
+        # The disc basis with each strip added as a QR update spans the
+        # basis orthonormalized on the whole cell.  At R0 0.26, K 24, h 0.1
+        # the cell Gram matrix I + S of the disc basis has condition 9e11,
+        # and its Cholesky factor would be off by 6e-10.
+        hs = (0.1, 0.02, 0.002)
+        cells = [CellGeometry(R0=R0, h=h) for h in hs]
+        for cell, bands in zip(cells, band_structures(cells, k3_profile, grid, K_modes=K)):
+            for i in checked:
+                ref, dim_eff = _reference_bands(cell, k3_profile, grid[i], K, bands.N_keep)
+                assert np.max(np.abs(bands.lambdas[i] - ref)) <= 1e-12
+                assert bands.dim_eff == dim_eff
+
+    def test_one_basis_for_every_cell(self, monkeypatch, k3_profile):
+        calls = []
+        build = band_solver.build_basis
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(band_solver, "build_basis", counted)
+        rows = h_convergence_study(k3_profile, np.geomspace(0.1, 0.002, 24), eta=0.3)
+        assert len(rows) == 24
+        assert len(calls) == 1
+
+    def test_lazy(self, monkeypatch, k3_profile):
+        # no strip is built, and no cell solved, before it is asked for
+        strips = []
+        build = band_solver.build_cell_strip_quadrature
+
+        def counted(cell, n_strip):
+            strips.append(cell.h)
+            return build(cell, n_strip)
+
+        monkeypatch.setattr(band_solver, "build_cell_strip_quadrature", counted)
+        cells = (CellGeometry(R0=0.35, h=h) for h in (0.1, 0.05, 0.02))
+        steps = band_structures(cells, k3_profile, [0.0, 1.0])
+        assert strips == []
+        next(steps)
+        assert strips == [0.1]
+        next(steps)
+        assert strips == [0.1, 0.05]
+
+    @pytest.mark.parametrize(
+        "second", [CellGeometry(R0=0.3, h=0.05), CellGeometry(R0=0.35, h=0.1)],
+        ids=["other-R0", "wider"],
+    )
+    def test_cells_share_the_disc_and_narrow(self, k3_profile, second):
+        # the disc stage belongs to one R0, and Y bounds |Im z| on the
+        # first strip only
+        steps = band_structures([CellGeometry(R0=0.35, h=0.05), second], k3_profile, [0.0])
+        next(steps)
+        with pytest.raises(ValueError, match="R0=0.35 and h <= 0.05"):
+            next(steps)
+
+    def test_no_cells_no_bands(self, k3_profile):
+        assert list(band_structures([], k3_profile, [0.0])) == []
+
+
 class TestChebyshevMoments:
     @pytest.mark.parametrize(
         "n",
@@ -367,6 +448,15 @@ class TestHConvergence:
     def test_empty_h_list_rejected(self, k3_profile):
         with pytest.raises(ValueError, match="h_list must be nonempty"):
             h_convergence_study(k3_profile, [], eta=0.0)
+
+    def test_bad_h_rejected_before_band_work(self, monkeypatch, k3_profile):
+        # every cell is built before the first basis
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no band work before every h is checked")
+
+        monkeypatch.setattr(band_solver, "build_basis", forbidden)
+        with pytest.raises(ValueError, match=r"h must be in \(0, 1/10\], got 0.0"):
+            h_convergence_study(k3_profile, [0.1, 0.05, 0.0], eta=0.0)
 
 
 class TestAlmostEigenCheck:

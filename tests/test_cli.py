@@ -315,6 +315,18 @@ class TestChecks:
         assert header == ["h", "n", "lambda", "error"]
         assert len(rows) == 4
 
+    def test_study_h_bad_h_exits_before_band_work(self, monkeypatch, capsys):
+        from bergband import band_solver
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no band work before every h is checked")
+
+        monkeypatch.setattr(band_solver, "build_basis", forbidden)
+        code = main(["study-h", "--targets", "0.3", "--h-list", "0.1,0.05,0"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: h must be in (0, 1/10], got 0.0"]
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -7,6 +7,8 @@ from bergband.geometry import (
     QuadratureRule,
     build_disc_quadrature,
     build_cell_quadrature,
+    build_cell_disc_quadrature,
+    build_cell_strip_quadrature,
     contains,
     mirror_half,
 )
@@ -146,6 +148,32 @@ class TestCellQuadrature:
     def test_odd_angle_count_rejected(self):
         with pytest.raises(ValueError, match="n_t=3"):
             build_cell_quadrature(CellGeometry(R0=0.3, h=0.1), n_t=3)
+
+    @pytest.mark.parametrize(
+        "orders", [(24, 48, 16), (4, 2, 1), (4, 6, 2), (5, 20, 3)], ids=str
+    )
+    @pytest.mark.parametrize("h", [0.1, 0.002])
+    def test_composed_of_disc_and_strip(self, orders, h):
+        # the cell rule is the disc piece (mirror-ordered on its own, and
+        # the same for every h) with the right strip and its mirror
+        # spliced in after the disc's Re z > 0 block, bitwise
+        n_r, n_t, n_strip = orders
+        cell = CellGeometry(R0=0.3, h=h)
+        quad = build_cell_quadrature(cell, *orders)
+        disc = build_cell_disc_quadrature(0.3, n_r, n_t)
+        strip = build_cell_strip_quadrature(cell, n_strip)
+        n_half, _ = mirror_half(disc)
+        n_off = disc.nodes.size - n_half
+        half = np.concatenate([disc.nodes[:n_off], strip.nodes])
+        nodes = np.concatenate([half, disc.nodes[n_off:n_half], -half.conj()])
+        assert np.all(strip.nodes.real > 0.0)
+        assert np.array_equal(quad.nodes.view(np.uint64), nodes.view(np.uint64))
+        half_w = np.concatenate([disc.weights[:n_off], strip.weights])
+        assert np.array_equal(
+            quad.weights, np.concatenate([half_w, disc.weights[n_off:n_half], half_w])
+        )
+        total = disc.total_weight + 2.0 * strip.total_weight
+        assert total == pytest.approx(quad.total_weight, rel=1e-14)
 
     def test_small_h_limit(self):
         # As h -> 0 the cell area tends to the disc area plus the full strip.

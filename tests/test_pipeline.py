@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bergband import band_solver
 from bergband.symbols import IllConditionedError
 from bergband.disc_spectrum import compute_disc_spectrum
 from bergband.pipeline import RunConfig, RunResult, run_prescribed_spectrum, choose_gap_index
@@ -151,6 +152,39 @@ class TestRunPrescribedSpectrum:
         assert diag["h_trace"][-1]["verdict"]
         # diagnostics must be JSON-serializable as emitted
         json.dumps(diag, default=float)
+
+    def test_bands_seconds_per_h_step(self, fast_config):
+        trace = run_prescribed_spectrum(fast_config).diagnostics["h_trace"]
+        assert all(isinstance(step["bands_s"], float) and step["bands_s"] > 0.0 for step in trace)
+
+    def test_one_basis_per_run(self, monkeypatch):
+        # the disc stage runs once; each later h-step adds only its strip
+        calls = []
+        build = band_solver.build_basis
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(band_solver, "build_basis", counted)
+        result = run_prescribed_spectrum(RunConfig(targets=(0.36, 0.30)))
+        assert [step["h"] for step in result.diagnostics["h_trace"]] == [0.1, 0.05, 0.025]
+        assert result.verdict
+        assert len(calls) == 1
+
+    def test_pass_at_h_initial_solves_one_h(self, monkeypatch):
+        # the h-steps are computed lazily: nothing after the first pass
+        strips = []
+        build = band_solver.build_cell_strip_quadrature
+
+        def counted(cell, n_strip):
+            strips.append(cell.h)
+            return build(cell, n_strip)
+
+        monkeypatch.setattr(band_solver, "build_cell_strip_quadrature", counted)
+        result = run_prescribed_spectrum(RunConfig(targets=(0.3, 0.2, 0.1), h_initial=0.05))
+        assert result.verdict and result.chosen_h == 0.05
+        assert strips == [0.05]
 
     def test_determinism(self, fast_config):
         r1 = run_prescribed_spectrum(fast_config)
