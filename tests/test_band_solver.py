@@ -236,7 +236,7 @@ class TestBandStructures:
         # The disc basis with each strip added as a QR update spans the
         # basis orthonormalized on the whole cell.  At R0 0.26, K 24, h 0.1
         # the cell Gram matrix I + S of the disc basis has condition 9e11,
-        # and its Cholesky factor would be off by 6e-10.
+        # and bands from its Cholesky factor are off by 3e-9.
         hs = (0.1, 0.02, 0.002)
         cells = [CellGeometry(R0=R0, h=h) for h in hs]
         for cell, bands in zip(cells, band_structures(cells, k3_profile, grid, K_modes=K)):

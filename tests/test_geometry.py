@@ -167,6 +167,9 @@ class TestCellQuadrature:
         half = np.concatenate([disc.nodes[:n_off], strip.nodes])
         nodes = np.concatenate([half, disc.nodes[n_off:n_half], -half.conj()])
         assert np.all(strip.nodes.real > 0.0)
+        # rows of n_strip nodes, one height each (band_solver relies on it)
+        heights = strip.nodes.imag.reshape(n_strip, n_strip)
+        assert np.all(heights == heights[:, :1]) and np.all(np.diff(heights[:, 0]) > 0.0)
         assert np.array_equal(quad.nodes.view(np.uint64), nodes.view(np.uint64))
         half_w = np.concatenate([disc.weights[:n_off], strip.weights])
         assert np.array_equal(
