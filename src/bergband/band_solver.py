@@ -18,9 +18,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebvander
 
-# build_cell_quadrature is not called here; it stays importable from this
-# module for the per-fiber reference (build_basis on the full cell rule, then
-# toeplitz_matrix), while band_structures composes the rule's two pieces
+# build_cell_quadrature is not called here (band_structures takes the rule's
+# two pieces); bench/tracing.py looks the name up in this module
 from .geometry import (
     CellGeometry,
     build_cell_disc_quadrature,
@@ -224,19 +223,29 @@ def band_structures(
     Each cell then adds only its strip, as rows appended to a QR
     factorization (Golub and Van Loan, Matrix Computations, 6.5).  The rows
     are the basis on the right half of the strip (TwistedBasis.evaluate),
-    real (re, im) pairs scaled by sqrt(2 w), and R = qr([I; rows]) has
-    R^T R = I + S, the cell Gram matrix of E.  So E R^-1 spans the same
-    space and is orthonormal on the cell; it is the cell-orthonormal basis
-    up to column signs, which leave the bands unchanged.  Every disc moment
-    moves to it as R^-T X R^-1, and ||R^-1|| <= 1 since R^T R >= I, so the
-    move never amplifies rounding.  The Gram matrix I + S itself is never
-    formed: its condition number reaches 9e11 (R0 0.26, K 24, h 0.1), where
-    bands from its Cholesky factor are off by 3e-9.  The strip's own G_m are
-    added in the basis E R^-1; the strip adds nothing to A_m.  What remains
-    is the rounding of E on the strip, outside the disc it is orthonormal
-    on, where it grows with K and the strip's length 1/2 - R0: against a
-    basis orthonormalized on the whole cell the bands agree to 1e-12 up to
-    K 24, but to 2.8e-12 at K 32 and 1.9e-10 at K 40 (R0 0.26, h 0.1).
+    real (re, im) pairs scaled by sqrt(2 w), and the R of the stacked
+    rows and I has R^T R = I + S, the cell Gram matrix of E.  So E R^-1
+    spans the same space and is orthonormal on the cell; it is the
+    cell-orthonormal basis up to an orthogonal factor, which leaves the
+    bands unchanged.  Every disc moment moves to it as R^-T X R^-1, and
+    ||R^-1|| <= 1 since R^T R >= I, so the move never amplifies rounding.
+    The Gram matrix I + S itself is never formed: its condition number
+    reaches 9e11 (R0 0.26, K 24, h 0.1), where bands from its Cholesky
+    factor are off by 3e-9.  The strip's own G_m are added in the basis
+    E R^-1; the strip adds nothing to A_m.
+
+    The order of the QR matters.  Outside the disc it is orthonormal on, E
+    grows with K and with the strip's length 1/2 - R0 (max |E| on the
+    strip is 7e7 at R0 0.2501, K 24), and Householder QR perturbs each
+    column by rounding relative to that column's norm.  With the unit rows
+    of I on top, that error swamps them: the bands were off by 8.5e-12 at
+    R0 0.2501, K 24, eta 0, h 0.1.  Householder QR is row-wise stable when
+    the heavy rows and columns come first (Powell and Reid; Cox and
+    Higham), so the strip rows go on top and the columns are taken in
+    decreasing strip norm; there the bands are within 5e-14 of a
+    high-precision solve.  Beyond K 32 at R0 near 1/4 the split still
+    loses digits that a basis orthonormalized on the whole cell keeps
+    (tests/test_band_solver.py, TestBandStructures, states the bound).
 
     The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the
     eta-fiber space, so each fiber is the generalized problem A x = lambda G x
@@ -341,8 +350,14 @@ def band_structures(
         # the basis columns on the right half of the strip as rows of (re, im) pairs
         F = basis.evaluate(strip.nodes).T.view(float)
         vs = np.repeat(2.0 * strip.weights, 2)
-        R = np.linalg.qr(np.hstack([np.eye(d), F * np.sqrt(vs)]).T, mode="r")
-        R_inv = np.linalg.inv(R)
+        # heavy rows and columns first: the strip rows, then I, and the
+        # columns by decreasing norm on the strip (the docstring says why)
+        rows = F.T * np.sqrt(vs)[:, None]
+        order = np.argsort(-np.linalg.norm(rows, axis=0))
+        R = np.linalg.qr(np.vstack([rows, np.eye(d)])[:, order], mode="r")
+        # R is triangular in the permuted columns, so the inverse of the
+        # factor in the original columns is R^-1 with its rows unpermuted
+        R_inv = np.linalg.inv(R)[np.argsort(order)]
         if M == 0:
             # G = I, so every fiber is A_0 in the cell-orthonormal basis
             row = _band_eigenvalues(R_inv.T @ A_0 @ R_inv, N_keep)
@@ -352,10 +367,10 @@ def band_structures(
             # the strip's G_m in the basis E R^-1: its nodes come in rows of
             # one height y, so T_m(y / Y) weighs one d x d product per row
             Fr = (R_inv.T @ F).reshape(d, n_strip, -1).transpose(1, 0, 2)
-            rows = (Fr * vs.reshape(n_strip, 1, -1)) @ Fr.transpose(0, 2, 1)
+            per_row = (Fr * vs.reshape(n_strip, 1, -1)) @ Fr.transpose(0, 2, 1)
             T = chebvander(strip.nodes.imag[::n_strip] / Y, M).T
             G_cell = (R_inv.T @ G_m @ R_inv).reshape(M + 1, d * d)
-            G_cell += T @ rows.reshape(n_strip, d * d)
+            G_cell += T @ per_row.reshape(n_strip, d * d)
             lambdas = np.empty((folded.size, N_keep))
             for i in range(folded.size):
                 A = (c[i] @ A_cell).reshape(d, d)

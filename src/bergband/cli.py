@@ -107,7 +107,7 @@ def _bands_rows(bands):
 def cmd_bands(args) -> int:
     cfg = _load_config(args)
     profile = synthesize_profile(cfg.targets)
-    bands = config_bands(cfg, profile, args.h if args.h is not None else cfg.h_initial)
+    bands = next(config_bands(cfg, profile, [args.h if args.h is not None else cfg.h_initial]))
     out = args.out or cfg.bands_csv or "bands.csv"
     _write_csv(out, ["eta", "n", "lambda"], _bands_rows(bands))
     return EXIT_OK

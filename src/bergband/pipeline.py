@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, asdict
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,10 +27,11 @@ from .band_solver import (
     BandStructure,
     SpectrumReport,
     band_structures,
-    compute_bands,
     essential_spectrum,
     gap_report,
 )
+# not called here; bench/tracing.py looks the name up in this module
+from .band_solver import compute_bands
 
 __all__ = [
     "RunConfig",
@@ -160,11 +162,14 @@ def choose_gap_index(spec: DiscSpectrum, targets: tuple[float, ...]) -> int:
     return max(hit) + 1 if hit else 1
 
 
-def config_bands(config: RunConfig, profile: RadialProfile, h: float) -> BandStructure:
-    """Band structure of ``profile`` over the configured eta grid and
-    basis, on the cell of ligament half-width ``h``."""
-    return compute_bands(
-        CellGeometry(R0=config.R0, h=h),
+def config_bands(
+    config: RunConfig, profile: RadialProfile, hs: Iterable[float]
+) -> Iterator[BandStructure]:
+    """Band structures of ``profile`` over the configured eta grid and
+    basis, one per ligament half-width in ``hs``, lazily: one
+    band_structures pass over the cells of radius config.R0."""
+    return band_structures(
+        (CellGeometry(R0=config.R0, h=h) for h in hs),
         profile,
         np.linspace(-np.pi, np.pi, config.eta_points),
         K_modes=config.K_modes,
@@ -175,7 +180,7 @@ def config_bands(config: RunConfig, profile: RadialProfile, h: float) -> BandStr
 def run_prescribed_spectrum(config: RunConfig) -> RunResult:
     """Synthesize, then halve h until the gap report passes or h_min is hit.
 
-    The h-steps are one lazy band_structures pass: the basis and the disc
+    The h-steps are one lazy config_bands pass: the basis and the disc
     moments are formed at the first step, each later step adds only its
     ligament, and no step after the first pass is computed.  Each
     diagnostics["h_trace"] entry records its step's band time as bands_s.
@@ -242,13 +247,7 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
     while 0.5 * hs[-1] >= config.h_min:
         hs.append(0.5 * hs[-1])
     # lazy: the cells after the first pass are never built or solved
-    steps = band_structures(
-        (CellGeometry(R0=config.R0, h=h) for h in hs),
-        profile,
-        np.linspace(-np.pi, np.pi, config.eta_points),
-        K_modes=config.K_modes,
-        N_keep=config.N_keep,
-    )
+    steps = config_bands(config, profile, hs)
     for h in hs:
         start = time.perf_counter()
         bands = next(steps)

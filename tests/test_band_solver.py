@@ -221,29 +221,54 @@ def _reference_bands(cell, profile, eta, K, N_keep):
 
 
 class TestBandStructures:
+    @staticmethod
+    def _worst_error(profile, R0, K, grid, checked):
+        """Largest band distance to the full-cell reference over three h."""
+        hs = (0.1, 0.02, 0.002)
+        cells = [CellGeometry(R0=R0, h=h) for h in hs]
+        worst = 0.0
+        for cell, bands in zip(cells, band_structures(cells, profile, grid, K_modes=K)):
+            for i in checked:
+                ref, dim_eff = _reference_bands(cell, profile, grid[i], K, bands.N_keep)
+                worst = max(worst, np.max(np.abs(bands.lambdas[i] - ref)))
+                assert bands.dim_eff == dim_eff
+        return worst
+
     @pytest.mark.parametrize(
         "grid, checked",
         [
             ([1.1], (0,)),
+            ([0.0], (0,)),
             (np.linspace(-np.pi, np.pi, 65), (0, 21, 32, 47)),
             ([-2.0, -0.4, 1.1], (0, 1, 2)),
         ],
-        ids=["single", "folded-65", "mixed-sign"],
+        ids=["single", "zero", "folded-65", "mixed-sign"],
     )
     @pytest.mark.parametrize("K", [10, 16, 24])
-    @pytest.mark.parametrize("R0", [0.26, 0.35, 0.49])
+    @pytest.mark.parametrize("R0", [0.2501, 0.26, 0.35, 0.49])
     def test_split_matches_full_cell_basis(self, k3_profile, R0, K, grid, checked):
         # The disc basis with each strip added as a QR update spans the
         # basis orthonormalized on the whole cell.  At R0 0.26, K 24, h 0.1
         # the cell Gram matrix I + S of the disc basis has condition 9e11,
-        # and bands from its Cholesky factor are off by 3e-9.
-        hs = (0.1, 0.02, 0.002)
-        cells = [CellGeometry(R0=R0, h=h) for h in hs]
-        for cell, bands in zip(cells, band_structures(cells, k3_profile, grid, K_modes=K)):
-            for i in checked:
-                ref, dim_eff = _reference_bands(cell, k3_profile, grid[i], K, bands.N_keep)
-                assert np.max(np.abs(bands.lambdas[i] - ref)) <= 1e-12
-                assert bands.dim_eff == dim_eff
+        # and bands from its Cholesky factor are off by 3e-9.  R0 0.2501
+        # has the longest strip, where the basis grows most; a QR with the
+        # unit rows on top was off by 4e-12 there (K 24, eta 0).
+        assert self._worst_error(k3_profile, R0, K, grid, checked) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "K, bound", [(24, 1e-12), (32, 1e-11), (40, 1e-9)], ids=["K24", "K32", "K40"]
+    )
+    @pytest.mark.parametrize(
+        "targets", [(0.3, 0.2, 0.1), (0.3, -0.25, 0.12)], ids=["k3", "mixed-sign-targets"]
+    )
+    def test_accuracy_on_the_longest_strip(self, targets, K, bound):
+        # The stated bound: on the strip of R0 0.2501 the basis reaches 7e7
+        # at K 24 and 3e12 at K 40, and beyond K 24 the split keeps fewer
+        # digits than a basis orthonormalized on the whole cell (which stays
+        # within 5e-14 of a high-precision solve there).  A QR with the unit
+        # rows on top was off by 8.5e-12 at K 24 and 2.5e-8 at K 40.
+        profile = synthesize_profile(list(targets))
+        assert self._worst_error(profile, 0.2501, K, [0.0], (0,)) <= bound
 
     def test_one_basis_for_every_cell(self, monkeypatch, k3_profile):
         calls = []
