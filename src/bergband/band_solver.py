@@ -239,13 +239,16 @@ def band_structures(
     strip is 7e7 at R0 0.2501, K 24), and Householder QR perturbs each
     column by rounding relative to that column's norm.  With the unit rows
     of I on top, that error swamps them: the bands were off by 8.5e-12 at
-    R0 0.2501, K 24, eta 0, h 0.1.  Householder QR is row-wise stable when
-    the heavy rows and columns come first (Powell and Reid; Cox and
-    Higham), so the strip rows go on top and the columns are taken in
-    decreasing strip norm; there the bands are within 5e-14 of a
-    high-precision solve.  Beyond K 32 at R0 near 1/4 the split still
-    loses digits that a basis orthonormalized on the whole cell keeps
-    (tests/test_band_solver.py, TestBandStructures, states the bound).
+    R0 0.2501, K 24, eta 0, h 0.1.  Householder QR is row-wise stable
+    with the rows sorted by decreasing size and column pivoting (Powell and
+    Reid; Cox and Higham).  So the strip rows go on top and the columns are
+    taken once in decreasing strip norm, a static form of that pivoting;
+    in the case above the bands are then within 5e-14 of a high-precision
+    solve.  Against a basis orthonormalized on the whole cell they agree to
+    1e-12 up to K 24 for every R0, and on the longest strip (R0 0.2501,
+    eta 0) to 1e-11 at K 32 and 1e-9 at K 40: there the rounding of E on
+    the strip (3e12 at K 40), and of the QR that scales it back, costs
+    digits that the whole-cell basis keeps.
 
     The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the
     eta-fiber space, so each fiber is the generalized problem A x = lambda G x
@@ -353,11 +356,11 @@ def band_structures(
         # heavy rows and columns first: the strip rows, then I, and the
         # columns by decreasing norm on the strip (the docstring says why)
         rows = F.T * np.sqrt(vs)[:, None]
-        order = np.argsort(-np.linalg.norm(rows, axis=0))
-        R = np.linalg.qr(np.vstack([rows, np.eye(d)])[:, order], mode="r")
+        cols = np.argsort(-np.linalg.norm(rows, axis=0))
+        R = np.linalg.qr(np.vstack([rows, np.eye(d)])[:, cols], mode="r")
         # R is triangular in the permuted columns, so the inverse of the
         # factor in the original columns is R^-1 with its rows unpermuted
-        R_inv = np.linalg.inv(R)[np.argsort(order)]
+        R_inv = np.linalg.inv(R)[np.argsort(cols)]
         if M == 0:
             # G = I, so every fiber is A_0 in the cell-orthonormal basis
             row = _band_eigenvalues(R_inv.T @ A_0 @ R_inv, N_keep)
