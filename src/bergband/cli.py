@@ -55,8 +55,7 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
     try:
         writer = csv.writer(out)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
     finally:
         if path:
             out.close()
@@ -99,9 +98,11 @@ def cmd_disc_spec(args) -> int:
 
 
 def _bands_rows(bands):
-    for i, eta in enumerate(bands.etas):
-        for n in range(bands.N_keep):
-            yield (repr(float(eta)), n + 1, float(bands.lambdas[i, n]))
+    return [
+        (repr(eta), n, lam)
+        for eta, row in zip(bands.etas.tolist(), bands.lambdas.tolist())
+        for n, lam in enumerate(row, start=1)
+    ]
 
 
 def cmd_bands(args) -> int:

@@ -27,3 +27,22 @@ def quad_mid(cell_mid):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps owner.name for the test and returns
+    the list that collects the positional arguments of each call."""
+
+    def install(owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install

@@ -10,7 +10,7 @@ from bergband.geometry import CellGeometry, build_cell_quadrature, compress
 from bergband.pipeline import RunConfig
 from bergband.symbols import RadialProfile, TargetSpec, synthesize_profile
 from bergband.disc_spectrum import compute_disc_spectrum
-from bergband.quasi_bergman import build_basis
+from bergband.quasi_bergman import TwistedBasis, build_basis
 from bergband.band_solver import (
     band_structures,
     compute_bands,
@@ -270,48 +270,61 @@ class TestBandStructures:
         profile = synthesize_profile(list(targets))
         assert self._worst_error(profile, 0.2501, K, [0.0], (0,)) <= bound
 
-    def test_one_basis_for_every_cell(self, monkeypatch, k3_profile):
-        calls = []
-        build = band_solver.build_basis
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(band_solver, "build_basis", counted)
+    def test_one_basis_for_every_cell(self, count_calls, k3_profile):
+        bases = count_calls(band_solver, "build_basis")
+        evaluations = count_calls(TwistedBasis, "evaluate")
         rows = h_convergence_study(k3_profile, np.geomspace(0.1, 0.002, 24), eta=0.3)
         assert len(rows) == 24
-        assert len(calls) == 1
+        assert len(bases) == 1
+        # every strip of the 24 is evaluated in the one call
+        assert len(evaluations) == 1
+        assert evaluations[0][1].size == 24 * 16 * 16
 
-    def test_lazy(self, monkeypatch, k3_profile):
-        # no strip is built, and no cell solved, before it is asked for
-        strips = []
-        build = band_solver.build_cell_strip_quadrature
-
-        def counted(cell, n_strip):
-            strips.append(cell.h)
-            return build(cell, n_strip)
-
-        monkeypatch.setattr(band_solver, "build_cell_strip_quadrature", counted)
+    def test_lazy(self, count_calls, k3_profile):
+        # every strip is built and evaluated at the first next(); each cell's
+        # QR update and fiber solves wait until that cell is asked for
+        strips = count_calls(band_solver, "build_cell_strip_quadrature")
+        evaluations = count_calls(TwistedBasis, "evaluate")
+        solves = count_calls(band_solver, "_band_eigenvalues")
         cells = (CellGeometry(R0=0.35, h=h) for h in (0.1, 0.05, 0.02))
-        steps = band_structures(cells, k3_profile, [0.0, 1.0])
-        assert strips == []
+        steps = band_structures(cells, k3_profile, np.linspace(-np.pi, np.pi, 65))
+        assert strips == [] and evaluations == [] and solves == []
         next(steps)
-        assert strips == [0.1]
+        assert [cell.h for cell, _ in strips] == [0.1, 0.05, 0.02]
+        assert len(evaluations) == 1
+        assert len(solves) == 33  # the 65 etas fold to 33 fibers, none of a later cell
         next(steps)
-        assert strips == [0.1, 0.05]
+        assert len(evaluations) == 1
+        assert len(solves) == 66
 
     @pytest.mark.parametrize(
-        "second", [CellGeometry(R0=0.3, h=0.05), CellGeometry(R0=0.35, h=0.1)],
+        "bad", [CellGeometry(R0=0.3, h=0.05), CellGeometry(R0=0.35, h=0.1)],
         ids=["other-R0", "wider"],
     )
-    def test_cells_share_the_disc_and_narrow(self, k3_profile, second):
-        # the disc stage belongs to one R0, and Y bounds |Im z| on the
-        # first strip only
-        steps = band_structures([CellGeometry(R0=0.35, h=0.05), second], k3_profile, [0.0])
-        next(steps)
+    def test_cells_share_the_disc_and_narrow(self, monkeypatch, k3_profile, bad):
+        # the disc stage belongs to one R0, and Y bounds |Im z| on the first
+        # strip only; every cell is checked before the disc stage, so a bad
+        # one anywhere in the list stops the first next() before any basis
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no band work before every cell is checked")
+
+        monkeypatch.setattr(band_solver, "build_basis", forbidden)
+        cells = [CellGeometry(R0=0.35, h=0.05), CellGeometry(R0=0.35, h=0.02), bad]
+        steps = band_structures(cells, k3_profile, [0.0])
         with pytest.raises(ValueError, match="R0=0.35 and h <= 0.05"):
             next(steps)
+
+    @pytest.mark.parametrize(
+        "grid", [[0.7], np.linspace(-np.pi, np.pi, 65)], ids=["single", "folded-65"]
+    )
+    @pytest.mark.parametrize("R0", [0.35, 0.2501])
+    def test_pass_matches_single_cells(self, k3_profile, R0, grid):
+        # one pass over an h-list gives each cell the bands of that cell alone
+        cells = [CellGeometry(R0=R0, h=h) for h in (0.1, 0.05, 0.02, 0.005)]
+        for cell, bands in zip(cells, band_structures(cells, k3_profile, grid)):
+            alone = compute_bands(cell, k3_profile, grid)
+            assert bands.dim_eff == alone.dim_eff
+            assert np.max(np.abs(bands.lambdas - alone.lambdas)) <= 1e-13
 
     def test_no_cells_no_bands(self, k3_profile):
         assert list(band_structures([], k3_profile, [0.0])) == []

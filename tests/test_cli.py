@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bergband import cli
+from bergband.band_solver import compute_bands
+from bergband.geometry import CellGeometry
 from bergband.cli import main, EXIT_OK, EXIT_VERDICT_FAIL, EXIT_USAGE, EXIT_NUMERICAL
 from bergband.pipeline import RunConfig
 
@@ -147,6 +150,21 @@ class TestBands:
         main(["bands", "--config", str(run_config_path), "--h", "0.05", "--out", str(out1)])
         main(["bands", "--config", str(run_config_path), "--h", "0.05", "--out", str(out2)])
         assert out1.read_text() == out2.read_text()
+
+    def test_csv_bytes_match_per_row_formula(self, tmp_path, k3_profile):
+        # repr floats and \r\n line ends, one row per (eta, n), on README size
+        bands = compute_bands(
+            CellGeometry(R0=0.35, h=0.05), k3_profile, np.linspace(-np.pi, np.pi, 65)
+        )
+        out = tmp_path / "bands.csv"
+        cli._write_csv(str(out), ["eta", "n", "lambda"], cli._bands_rows(bands))
+        expected = "eta,n,lambda\r\n" + "".join(
+            f"{float(eta)!r},{n + 1},{float(bands.lambdas[i, n])!r}\r\n"
+            for i, eta in enumerate(bands.etas)
+            for n in range(bands.N_keep)
+        )
+        assert len(expected.splitlines()) == 1 + 65 * 8
+        assert out.read_bytes() == expected.encode()
 
 
 class TestRunAndReport:

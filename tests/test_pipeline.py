@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergband import band_solver
+from bergband.quasi_bergman import TwistedBasis
 from bergband.symbols import IllConditionedError
 from bergband.disc_spectrum import compute_disc_spectrum
 from bergband.pipeline import RunConfig, RunResult, run_prescribed_spectrum, choose_gap_index
@@ -157,34 +158,26 @@ class TestRunPrescribedSpectrum:
         trace = run_prescribed_spectrum(fast_config).diagnostics["h_trace"]
         assert all(isinstance(step["bands_s"], float) and step["bands_s"] > 0.0 for step in trace)
 
-    def test_one_basis_per_run(self, monkeypatch):
-        # the disc stage runs once; each later h-step adds only its strip
-        calls = []
-        build = band_solver.build_basis
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(band_solver, "build_basis", counted)
+    def test_one_basis_per_run(self, count_calls):
+        # the disc stage runs once, and every strip is evaluated in one call;
+        # each later h-step adds only its QR update and fiber solves
+        bases = count_calls(band_solver, "build_basis")
+        evaluations = count_calls(TwistedBasis, "evaluate")
         result = run_prescribed_spectrum(RunConfig(targets=(0.36, 0.30)))
         assert [step["h"] for step in result.diagnostics["h_trace"]] == [0.1, 0.05, 0.025]
         assert result.verdict
-        assert len(calls) == 1
+        assert len(bases) == 1
+        assert len(evaluations) == 1
 
-    def test_pass_at_h_initial_solves_one_h(self, monkeypatch):
-        # the h-steps are computed lazily: nothing after the first pass
-        strips = []
-        build = band_solver.build_cell_strip_quadrature
-
-        def counted(cell, n_strip):
-            strips.append(cell.h)
-            return build(cell, n_strip)
-
-        monkeypatch.setattr(band_solver, "build_cell_strip_quadrature", counted)
+    def test_pass_at_h_initial_solves_one_h(self, count_calls):
+        # every strip of the halving sequence is built at the first step, but
+        # only the step that passes is solved: 33 fibers of the 65-point grid
+        strips = count_calls(band_solver, "build_cell_strip_quadrature")
+        solves = count_calls(band_solver, "_band_eigenvalues")
         result = run_prescribed_spectrum(RunConfig(targets=(0.3, 0.2, 0.1), h_initial=0.05))
         assert result.verdict and result.chosen_h == 0.05
-        assert strips == [0.05]
+        assert [cell.h for cell, _ in strips] == [0.05 / 2**k for k in range(6)]
+        assert len(solves) == 33
 
     def test_determinism(self, fast_config):
         r1 = run_prescribed_spectrum(fast_config)
