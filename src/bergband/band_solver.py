@@ -100,10 +100,22 @@ def toeplitz_matrix(
 
 def _band_eigenvalues(A: np.ndarray, N_keep: int) -> np.ndarray:
     ev = np.linalg.eigvalsh(A)
-    ev = ev[np.argsort(-np.abs(ev), kind="stable")]
-    out = np.zeros(N_keep)
-    out[: min(N_keep, ev.size)] = ev[:N_keep]
+    ev = ev[np.arange(len(ev))[:, None], np.argsort(-np.abs(ev), axis=1, kind="stable")]
+    out = np.zeros((len(ev), N_keep))
+    out[:, : min(N_keep, ev.shape[1])] = ev[:, :N_keep]
     return out
+
+
+def _fiber_bands(c: np.ndarray, A_cell: np.ndarray, G_cell: np.ndarray, N_keep: int):
+    """Band rows of one cell's fibers: fiber i is A x = lambda G x, with A and G
+    the d x d matrices c[i] @ A_cell and c[i] @ G_cell, solved as eigvalsh(L^-1
+    A L^-T), G = L L^T.  L^-1 is formed explicitly: cond G <= e^{2 |s|} < e^pi,
+    so cond L < e^(pi/2) < 4.9 and the inverse costs no accuracy."""
+    n, d = len(c), math.isqrt(A_cell.shape[1])
+    # a vector-matrix product per fiber: one GEMM c @ A_cell rounds differently
+    A = (c[:, None] @ A_cell).reshape(n, d, d)
+    L_inv = np.linalg.inv(np.linalg.cholesky((c[:, None] @ G_cell).reshape(n, d, d)))
+    return _band_eigenvalues(L_inv @ A @ L_inv.transpose(0, 2, 1), N_keep)
 
 
 def _chebyshev_terms(S: float) -> int:
@@ -181,9 +193,21 @@ def _quadrature_orders(K_modes: int, R0: float) -> tuple[int, int, int]:
     return n_t // 2, n_t, -(-n_t // 3)
 
 
-# Sorted |eta| closer than this are one fiber in compute_bands: a few ulp of
-# pi (|eta_i + eta_{64-i}| reaches 4.4e-16 on linspace(-pi, pi, 65)).
+# A few ulp of pi: |eta_i + eta_{64-i}| reaches 4.4e-16 on linspace(-pi, pi, 65).
 _FOLD_TOL = 8.0 * np.finfo(float).eps * np.pi
+
+
+def _fold(etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(folded, fiber): the distinct |eta| in increasing order (sorted |eta|
+    within _FOLD_TOL merged) and each eta's index in it.  lambda_n(-eta) =
+    lambda_n(eta): conjugation f(z) -> conj f(conj z) maps the eta-fiber onto
+    the (-eta)-fiber antiunitarily and fixes the cell, its rule and the symbol."""
+    order = np.argsort(np.abs(etas), kind="stable")
+    mags = np.abs(etas)[order]
+    new = np.concatenate(([True], np.diff(mags) > _FOLD_TOL))
+    fiber = np.empty(etas.size, dtype=int)
+    fiber[order] = np.cumsum(new) - 1
+    return mags[new], fiber
 
 
 def band_structures(
@@ -208,17 +232,8 @@ def band_structures(
     much cheaper than a call per strip.  The rest is lazy: a cell's QR
     update and fiber solves run only when that cell is asked for, so a
     caller that stops early (the h-loop of the pipeline) solves no further
-    cell.
-
-    The grid is folded first.  Conjugation f(z) -> conj f(conj z) maps the
-    eta-fiber antiunitarily onto the (-eta)-fiber; the cell, its rule (for
-    every even n_t) and the real radial symbol are invariant under it, so
-    lambda_n(-eta) = lambda_n(eta).  Each eta is therefore mapped to |eta|,
-    sorted |eta| that agree to within _FOLD_TOL (a few ulp of pi, since a
-    grid such as linspace(-pi, pi, 65) is not bitwise symmetric) are merged,
-    each distinct |eta| is solved once, and the rows of every returned
-    BandStructure, which keeps the caller's grid and order, are copies of
-    those solutions.  A grid {-eta, eta} is a single fiber.
+    cell.  Each distinct |eta| is solved once (_fold), and the rows of the
+    caller's grid, in its order, are copies.
 
     The disc stage runs once.  The disc, the symbol b (zero on the strip)
     and the disc part of the cell rule (geometry.build_cell_disc_quadrature)
@@ -262,9 +277,9 @@ def band_structures(
     matrices G = Q0^H diag(w t) Q0 and A = Q0^H diag(w b t) Q0, where
     t = |e^{i (eta - eta0) z}|^2 = e^{s x} with x = Im z / Y in [-1, 1],
     Y = max |Im z| over the disc and the first (widest) strip and
-    s = -2 (eta - eta0) Y.  It is solved as eigvalsh(L^-1 A L^-T) with
-    G = L L^T, L^-1 formed explicitly: cond G <= e^{2 |s|} < e^pi, so
-    cond L < e^(pi/2) < 4.9 and the inverse costs no accuracy.
+    s = -2 (eta - eta0) Y.  All of a cell's fibers are solved in one stacked
+    pass of Cholesky factors and eigensolves (_fiber_bands): numpy.linalg's
+    fixed cost per call outweighs the LAPACK work on one d x d fiber.
 
     No fiber touches an n-node array.  e^{s x} is entire in x, and its
     Chebyshev series sum_m c_m(s) T_m(x) converges superexponentially
@@ -321,14 +336,7 @@ def band_structures(
         given if given is not None else derived
         for given, derived in zip((n_r, n_t, n_strip), _quadrature_orders(K_modes, first.R0))
     )
-    # fold: etas[i] is solved as folded[fiber[i]]
-    order = np.argsort(np.abs(etas), kind="stable")
-    mags = np.abs(etas)[order]
-    new = np.concatenate(([True], np.diff(mags) > _FOLD_TOL))
-    folded = mags[new]
-    fiber = np.empty(etas.size, dtype=int)
-    fiber[order] = np.cumsum(new) - 1
-
+    folded, fiber = _fold(etas)
     strips = [build_cell_strip_quadrature(cell, n_strip) for cell in cells]
     # the disc stage
     disc = build_cell_disc_quadrature(first.R0, n_r, n_t)
@@ -353,7 +361,7 @@ def band_structures(
         c = np.exp(np.outer(s, x_cheb)) @ chebvander(x_cheb, M) * (2.0 / (M + 1))
         c[:, 0] *= 0.5
         moments = _chebyshev_moments(E, v, b, np.repeat(z.imag / Y, 2), M)
-        A_m, G_m = np.split(moments.reshape(-1, d, d), 2)
+        moments = moments.reshape(-1, d, d)  # A_m, then G_m
 
     # the basis columns on the right half of every strip, as rows of (re, im)
     # pairs: one evaluation, of which each cell takes its own columns
@@ -370,23 +378,17 @@ def band_structures(
         R_inv = np.linalg.inv(R)[np.argsort(cols)]
         if M == 0:
             # G = I, so every fiber is A_0 in the cell-orthonormal basis
-            row = _band_eigenvalues(R_inv.T @ A_0 @ R_inv, N_keep)
+            row = _band_eigenvalues((R_inv.T @ A_0 @ R_inv)[None], N_keep)
             lambdas = np.tile(row, (folded.size, 1))
         else:
-            A_cell = (R_inv.T @ A_m @ R_inv).reshape(M + 1, d * d)
             # the strip's G_m in the basis E R^-1: its nodes come in rows of
             # one height y, so T_m(y / Y) weighs one d x d product per row
             Fr = (R_inv.T @ F).reshape(d, n_strip, -1).transpose(1, 0, 2)
             per_row = (Fr * vs.reshape(n_strip, 1, -1)) @ Fr.transpose(0, 2, 1)
             T = chebvander(strip.nodes.imag[::n_strip] / Y, M).T
-            G_cell = (R_inv.T @ G_m @ R_inv).reshape(M + 1, d * d)
+            A_cell, G_cell = (R_inv.T @ moments @ R_inv).reshape(2, M + 1, d * d)
             G_cell += T @ per_row.reshape(n_strip, d * d)
-            lambdas = np.empty((folded.size, N_keep))
-            for i in range(folded.size):
-                A = (c[i] @ A_cell).reshape(d, d)
-                L_inv = np.linalg.inv(np.linalg.cholesky((c[i] @ G_cell).reshape(d, d)))
-                A = L_inv @ A @ L_inv.T
-                lambdas[i] = _band_eigenvalues(A, N_keep)
+            lambdas = _fiber_bands(c, A_cell, G_cell, N_keep)
         yield BandStructure(etas=etas, lambdas=lambdas[fiber], dim_eff=d)
 
 
@@ -401,9 +403,7 @@ def compute_bands(
     n_strip: int | None = None,
 ) -> BandStructure:
     """Band structure of one cell over an eta grid: the one-cell case of
-    band_structures, which holds the method.  The basis is orthonormalized
-    on the disc part of the cell rule and the strip enters as one QR update;
-    each distinct |eta| is one d x d eigensolve."""
+    band_structures, which holds the method."""
     return next(
         band_structures([cell], profile, eta_grid, K_modes, N_keep, n_r, n_t, n_strip)
     )

@@ -55,7 +55,7 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
     try:
         writer = csv.writer(out)
         writer.writerow(header)
-        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+        writer.writerows(rows)
     finally:
         if path:
             out.close()
@@ -99,7 +99,7 @@ def cmd_disc_spec(args) -> int:
 
 def _bands_rows(bands):
     return [
-        (repr(eta), n, lam)
+        (eta, n, lam)
         for eta, row in zip(bands.etas.tolist(), bands.lambdas.tolist())
         for n, lam in enumerate(row, start=1)
     ]
@@ -194,7 +194,7 @@ def cmd_study_h(args) -> int:
     flat = []
     for row in rows:
         for n, (lam, err) in enumerate(zip(row["lambdas"], row["errors"]), start=1):
-            flat.append((repr(row["h"]), n, lam, err))
+            flat.append((row["h"], n, lam, err))
     _write_csv(args.out, ["h", "n", "lambda", "error"], flat)
     return EXIT_OK
 

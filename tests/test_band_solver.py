@@ -22,6 +22,12 @@ from bergband.band_solver import (
 )
 
 
+def _fibers_solved(calls):
+    """The fibers in the calls of _band_eigenvalues that count_calls recorded:
+    each call solves a stack, one fiber per leading index."""
+    return sum(len(A) for A, _ in calls)
+
+
 @pytest.fixture(scope="module")
 def small_bands(k3_profile):
     """Coarse band structure shared by the cheaper assertions."""
@@ -79,23 +85,16 @@ class TestComputeBands:
         assert np.allclose(lams, lams[::-1], atol=1e-8)
 
     @pytest.mark.parametrize(
-        "grid, solves",
+        "grid, fibers",
         [(np.linspace(-np.pi, np.pi, 65), 33), ([-0.7, 0.7], 1)],
         ids=["symmetric-65", "pair"],
     )
-    def test_fold_solves_each_abs_eta_once(self, monkeypatch, k3_profile, grid, solves):
+    def test_fold_solves_each_abs_eta_once(self, count_calls, k3_profile, grid, fibers):
         # linspace(-pi, pi, 65) is symmetric only to rounding; its rows at
         # eta and -eta are still one fiber, copied bitwise
-        calls = []
-        solve = band_solver._band_eigenvalues
-
-        def counted(A, N_keep):
-            calls.append(N_keep)
-            return solve(A, N_keep)
-
-        monkeypatch.setattr(band_solver, "_band_eigenvalues", counted)
+        solves = count_calls(band_solver, "_band_eigenvalues")
         bands = compute_bands(CellGeometry(R0=0.35, h=0.05), k3_profile, grid, N_keep=6)
-        assert len(calls) == solves
+        assert _fibers_solved(solves) == fibers
         assert np.array_equal(bands.etas, np.asarray(grid, dtype=float))
         assert bands.lambdas.shape == (len(grid), 6)
         assert np.array_equal(bands.lambdas, bands.lambdas[::-1])
@@ -292,10 +291,11 @@ class TestBandStructures:
         next(steps)
         assert [cell.h for cell, _ in strips] == [0.1, 0.05, 0.02]
         assert len(evaluations) == 1
-        assert len(solves) == 33  # the 65 etas fold to 33 fibers, none of a later cell
+        # the 65 etas fold to 33 fibers, none of a later cell
+        assert _fibers_solved(solves) == 33
         next(steps)
         assert len(evaluations) == 1
-        assert len(solves) == 66
+        assert _fibers_solved(solves) == 66
 
     @pytest.mark.parametrize(
         "bad", [CellGeometry(R0=0.3, h=0.05), CellGeometry(R0=0.35, h=0.1)],
@@ -328,6 +328,49 @@ class TestBandStructures:
 
     def test_no_cells_no_bands(self, k3_profile):
         assert list(band_structures([], k3_profile, [0.0])) == []
+
+
+def _reference_fiber_bands(c, A_cell, G_cell, N_keep):
+    """_fiber_bands as a loop over the fibers, each row ordered and padded
+    on its own."""
+    d = int(np.sqrt(A_cell.shape[1]))
+    rows = np.zeros((len(c), N_keep))
+    for row, ci in zip(rows, c):
+        L_inv = np.linalg.inv(np.linalg.cholesky((ci @ G_cell).reshape(d, d)))
+        ev = np.linalg.eigvalsh(L_inv @ (ci @ A_cell).reshape(d, d) @ L_inv.T)
+        ev = ev[np.argsort(-np.abs(ev), kind="stable")][:N_keep]
+        row[: ev.size] = ev
+    return rows
+
+
+class TestFiberBands:
+    @pytest.mark.parametrize(
+        "K, N_keep", [(10, 8), (1, 8)], ids=["readme", "d-below-N_keep"]
+    )
+    def test_matches_per_fiber_loop(self, count_calls, k3_profile, K, N_keep):
+        calls = count_calls(band_solver, "_fiber_bands")
+        bands = compute_bands(
+            CellGeometry(R0=0.35, h=0.05), k3_profile, np.linspace(-np.pi, np.pi, 65),
+            K_modes=K, N_keep=N_keep,
+        )
+        assert (bands.dim_eff < N_keep) == (K == 1)
+        (c, A_cell, G_cell, _), = calls
+        ref = _reference_fiber_bands(c, A_cell, G_cell, N_keep)
+        got = band_solver._fiber_bands(c, A_cell, G_cell, N_keep)
+        assert got.shape == (33, N_keep)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.all(got[:, bands.dim_eff :] == 0.0)
+
+    def test_equal_moduli_keep_increasing_order(self):
+        # each fiber is a multiple of diag(0.5, -0.5, 0.25) and of I: the pair
+        # +-0.5 ties exactly, so only a stable sort fixes its order, and d = 3
+        # leaves the last two entries of a row as padding
+        A_cell = np.array([np.diag([0.5, -0.5, 0.25]), np.zeros((3, 3))]).reshape(2, 9)
+        G_cell = np.array([np.eye(3), 0.1 * np.eye(3)]).reshape(2, 9)
+        c = np.array([[1.0, 0.0], [2.0, 1.0]])
+        got = band_solver._fiber_bands(c, A_cell, G_cell, 5)
+        assert np.array_equal(got[0], [-0.5, 0.5, 0.25, 0.0, 0.0])
+        assert np.array_equal(got, _reference_fiber_bands(c, A_cell, G_cell, 5))
 
 
 class TestChebyshevMoments:

@@ -177,7 +177,7 @@ class TestRunPrescribedSpectrum:
         result = run_prescribed_spectrum(RunConfig(targets=(0.3, 0.2, 0.1), h_initial=0.05))
         assert result.verdict and result.chosen_h == 0.05
         assert [cell.h for cell, _ in strips] == [0.05 / 2**k for k in range(6)]
-        assert len(solves) == 33
+        assert sum(len(A) for A, _ in solves) == 33  # one fiber per stacked matrix
 
     def test_determinism(self, fast_config):
         r1 = run_prescribed_spectrum(fast_config)
