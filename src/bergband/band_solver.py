@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebvander
@@ -21,6 +21,7 @@ from numpy.polynomial.chebyshev import chebpts1, chebvander
 # two pieces); bench/tracing.py looks the name up in this module
 from .geometry import (
     CellGeometry,
+    QuadratureRule,
     build_cell_disc_quadrature,
     build_cell_quadrature,
     build_cell_strip_quadrature,
@@ -119,7 +120,7 @@ def _fiber_bands(c: np.ndarray, A_cell: np.ndarray, G_cell: np.ndarray, N_keep: 
 
 
 def _chebyshev_terms(S: float) -> int:
-    """Smallest M with 2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S (see compute_bands)."""
+    """Smallest M with 2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S (see _disc_stage)."""
     M, tail = 0, S  # tail = 2 (S/2)^(M+1) / (M+1)!
     while tail > 2.0**-52 * math.exp(-S):
         M += 1
@@ -127,16 +128,15 @@ def _chebyshev_terms(S: float) -> int:
     return M
 
 
-# Real columns (two per half-rule node) per product in _chebyshev_moments.
-# Its Khatri-Rao block is d (d + 1) / 2 x _MOMENT_CHUNK doubles: 4.6 MB at
-# d = 33.
+# Real columns (two per half-rule node) per product in _chebyshev_moments: its
+# Khatri-Rao block is d (d + 1) / 2 x _MOMENT_CHUNK doubles, 4.6 MB at d = 33.
 _MOMENT_CHUNK = 1024
 
 
 def _chebyshev_moments(
     R: np.ndarray, v: np.ndarray, b: np.ndarray, x: np.ndarray, M: int
 ) -> np.ndarray:
-    """The 2 (M + 1) real moments R diag(u) R^T of band_structures, M >= 1,
+    """The 2 (M + 1) real moments R diag(u) R^T of _disc_stage, M >= 1,
     for the weight rows u = v b T_m(x), m = 0..M, then u = v T_m(x),
     m = 0..M, returned as the rows of a 2 (M + 1) x d^2 array, each a
     flattened d x d matrix.  R is d x n, its rows the basis columns on the
@@ -210,6 +210,128 @@ def _fold(etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mags[new], fiber
 
 
+# Strips per TwistedBasis.evaluate call in band_structures.
+_STRIP_BATCH = 32
+
+
+class _DiscStage(NamedTuple):
+    """What band_structures forms once for all its cells (_disc_stage)."""
+
+    basis: TwistedBasis  # E, orthonormal on the disc rule at eta0
+    Y: float  # x = Im z / Y lies in [-1, 1] on every cell
+    M: int  # degree of the Chebyshev series of the twist weight
+    c: np.ndarray | None  # c[i, m] of folded fiber i; None when M = 0
+    moments: np.ndarray  # A_0..A_M, G_0..G_M of the disc, or A_0 alone when M = 0
+
+
+def _disc_stage(
+    cell: CellGeometry, profile: RadialProfile, folded: np.ndarray, K_modes: int,
+    n_r: int, n_t: int, strip: QuadratureRule,
+) -> _DiscStage:
+    """Everything of band_structures that does not depend on h: the disc rule
+    (geometry.build_cell_disc_quadrature), the symbol b (zero on the strip), and
+    the basis E, orthonormalized on the disc once (build_basis, "Vandermonde
+    with Arnoldi") at the middle eta0 of the folded range, with its moments.
+    strip is the rule of the first, widest, cell.
+
+    The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the eta-fiber
+    space, so each fiber is A x = lambda G x with the d x d matrices
+    G = Q0^H diag(w t) Q0 and A = Q0^H diag(w b t) Q0 in the cell-orthonormal
+    basis Q0, where t = |e^{i (eta - eta0) z}|^2 = e^{s x}, x = Im z / Y,
+    Y = max |Im z| over the disc and the widest strip, s = -2 (eta - eta0) Y.
+    e^{s x} is entire in x, and its Chebyshev series sum_m c_m(s) T_m(x)
+    converges superexponentially (c_m = 2 I_m(s) for m >= 1), so
+    G = sum_m c_m G_m and A = sum_m c_m A_m with the eta-independent moments
+    G_m = Q0^H diag(w T_m(x)) Q0 and A_m = Q0^H diag(w b T_m(x)) Q0, m = 0..M:
+    no fiber touches an n-node array.  M is the smallest degree with
+    2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S, S = max |s| over the folded grid: the
+    left side bounds the series tail, and e^-S keeps the error at rounding
+    level against the smallest eigenvalue of G, at least e^-|s|.  The folded
+    range lies in [0, pi] and eta0 is its middle, so R0 < 1/2 gives S < pi/2
+    and M <= 17 (15 on linspace(-pi, pi, 65) at R0 0.35).  The c_m interpolate
+    e^{s x} at numpy's Chebyshev points (chebpts1).  The disc moments are
+    formed here in E; _cell_moments moves them to Q0.
+
+    Every moment is real symmetric: the cell, the rule, b and x are mirror
+    symmetric (z -> -conj(z)) and every column of E is mirror-real
+    (build_basis), so each sum over the rule is a real sum over its half
+    (geometry.mirror_half), with the columns' (re, im) pairs as rows.
+
+    M = 0 (every s is 0: a grid that folds to eta0, or all-real nodes) needs no
+    expansion: G = I by orthonormality, and the stage holds A_0 = compress(v b, E^T).
+    """
+    disc = build_cell_disc_quadrature(cell.R0, n_r, n_t)
+    n_half, v = mirror_half(disc)
+    z = disc.nodes[:n_half]
+    b = np.repeat(eval_cell_symbol(profile, cell, z), 2)
+    eta0 = 0.5 * (folded[0] + folded[-1])
+    basis = build_basis(cell, eta0, K_modes, disc)
+    # the columns' (re, im) pairs on the half rule as rows: a view, since
+    # build_basis stores the columns of Q as the rows of its buffer
+    E = basis.Q[:n_half].T.view(float)
+    Y = max(np.abs(z.imag).max(), np.abs(strip.nodes.imag).max())
+    s = -2.0 * (folded - eta0) * Y
+    M = _chebyshev_terms(float(np.abs(s).max()))
+    if M == 0:
+        return _DiscStage(basis, Y, M, None, compress(v * b, E.T))
+    # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
+    # c_m = (2 - [m = 0]) / (M + 1) sum_j e^{s x_j} T_m(x_j)
+    x_cheb = chebpts1(M + 1)
+    c = np.exp(np.outer(s, x_cheb)) @ chebvander(x_cheb, M) * (2.0 / (M + 1))
+    c[:, 0] *= 0.5
+    moments = _chebyshev_moments(E, v, b, np.repeat(z.imag / Y, 2), M)
+    return _DiscStage(basis, Y, M, c, moments.reshape(-1, basis.dim_eff, basis.dim_eff))
+
+
+def _cell_moments(stage: _DiscStage, strip: QuadratureRule, F: np.ndarray):
+    """One cell's moments in its cell-orthonormal basis: the (M + 1) x d^2 rows
+    (A_cell, G_cell) of the flattened A_m and G_m (_disc_stage), or the d x d
+    A_0 alone when M = 0.  F holds the basis on the strip rule as (re, im) rows.
+
+    The strip enters as rows appended to a QR factorization (Golub and Van Loan,
+    Matrix Computations, 6.5): the rows of F scaled by sqrt(2 w), stacked on I.
+    Their R has R^T R = I + S, the cell Gram matrix of E, so E R^-1 is
+    orthonormal on the cell: Q0 up to an orthogonal factor, which leaves the
+    bands unchanged.  Every disc moment moves to it as R^-T X R^-1, and
+    ||R^-1|| <= 1 since R^T R >= I, so the move never amplifies rounding.
+    I + S itself is never formed: its condition number reaches 9e11 (R0 0.26,
+    K 24, h 0.1), where bands from its Cholesky factor are off by 3e-9.  The
+    strip adds nothing to A_m, and its G_m sum T_m(y / Y) times one d x d
+    product per row of nodes of one height y (build_cell_strip_quadrature).
+
+    The order of the QR matters.  Outside the disc, E grows with K and with the
+    strip's length 1/2 - R0 (to 7e7 at R0 0.2501, K 24), and Householder QR
+    perturbs each column relative to its norm, which swamps the unit rows of I
+    when they come first: the bands were then off by 8.5e-12 at R0 0.2501, K 24,
+    eta 0, h 0.1.  Householder QR is row-wise stable with the rows sorted by
+    decreasing size and column pivoting (Powell and Reid; Cox and Higham), so
+    the strip rows go on top and the columns are taken once in decreasing strip
+    norm, a static form of that pivoting; the case above is then within 5e-14 of
+    a high-precision solve.  Against a basis orthonormalized on the whole cell
+    the bands agree to 1e-12 up to K 24 for every R0, and on the longest strip
+    (R0 0.2501, eta 0) to 1e-11 at K 32 and 1e-9 at K 40: the rounding of E on
+    the strip (3e12) and of the QR that scales it back costs digits there.
+    """
+    d, M = stage.basis.dim_eff, stage.M
+    vs = np.repeat(2.0 * strip.weights, 2)
+    # heavy rows and columns first: the strip rows above I (the docstring says why)
+    rows = F.T * np.sqrt(vs)[:, None]
+    cols = np.argsort(-np.linalg.norm(rows, axis=0))
+    R = np.linalg.qr(np.vstack([rows, np.eye(d)])[:, cols], mode="r")
+    # R is triangular in the permuted columns, so the inverse of the factor
+    # in the original columns is R^-1 with its rows unpermuted
+    R_inv = np.linalg.inv(R)[np.argsort(cols)]
+    if M == 0:
+        return R_inv.T @ stage.moments @ R_inv
+    n_strip = math.isqrt(strip.weights.size)
+    Fr = (R_inv.T @ F).reshape(d, n_strip, -1).transpose(1, 0, 2)
+    per_row = (Fr * vs.reshape(n_strip, 1, -1)) @ Fr.transpose(0, 2, 1)
+    T = chebvander(strip.nodes.imag[::n_strip] / stage.Y, M).T
+    A_cell, G_cell = (R_inv.T @ stage.moments @ R_inv).reshape(2, M + 1, d * d)
+    G_cell += T @ per_row.reshape(n_strip, d * d)
+    return A_cell, G_cell
+
+
 def band_structures(
     cells: Iterable[CellGeometry],
     profile: RadialProfile,
@@ -222,101 +344,26 @@ def band_structures(
 ) -> Iterator[BandStructure]:
     """Band structures over an eta grid, one per cell, from one disc stage.
 
-    The cells share R0 and differ only in the ligament: each h after the
-    first must be at most the first (ValueError, raised by the first next()
-    before any band work, wherever the offending cell is in the list).  The
-    first next() also builds every cell's strip rule and evaluates the
-    basis on all the strips in one call: TwistedBasis.evaluate replays the
-    basis recurrence in d sequential steps, whose fixed cost per step
-    outweighs the arithmetic on one strip, so one call over every strip is
-    much cheaper than a call per strip.  The rest is lazy: a cell's QR
-    update and fiber solves run only when that cell is asked for, so a
-    caller that stops early (the h-loop of the pipeline) solves no further
-    cell.  Each distinct |eta| is solved once (_fold), and the rows of the
-    caller's grid, in its order, are copies.
+    The cells share R0 and differ only in the ligament: each h after the first
+    must be at most the first (ValueError, raised by the first next() before any
+    band work, wherever the offending cell is in the list).  What does not
+    depend on h is formed once (_disc_stage); each cell adds its strip
+    (_cell_moments) and solves its fibers (_fiber_bands).  Each distinct |eta|
+    is solved once (_fold), and the rows of the caller's grid, in its order, are
+    copies.
 
-    The disc stage runs once.  The disc, the symbol b (zero on the strip)
-    and the disc part of the cell rule (geometry.build_cell_disc_quadrature)
-    do not depend on h.  On that disc rule the basis E is orthonormalized
-    once (build_basis, "Vandermonde with Arnoldi"), at the middle eta0 of
-    the folded range, and the disc moments A_m and G_m (below) are formed.
-
-    Each cell then adds only its strip, as rows appended to a QR
-    factorization (Golub and Van Loan, Matrix Computations, 6.5).  The rows
-    are the basis on the right half of the strip (the cell's columns of the
-    one evaluation), real (re, im) pairs scaled by sqrt(2 w), and the R of
-    the stacked rows and I has R^T R = I + S, the cell Gram matrix of E.
-    So E R^-1 spans the same space and is orthonormal on the cell; it is the
-    cell-orthonormal basis up to an orthogonal factor, which leaves the
-    bands unchanged.  Every disc moment moves to it as R^-T X R^-1, and
-    ||R^-1|| <= 1 since R^T R >= I, so the move never amplifies rounding.
-    The Gram matrix I + S itself is never formed: its condition number
-    reaches 9e11 (R0 0.26, K 24, h 0.1), where bands from its Cholesky
-    factor are off by 3e-9.  The strip's own G_m are added in the basis
-    E R^-1; the strip adds nothing to A_m.
-
-    The order of the QR matters.  Outside the disc it is orthonormal on, E
-    grows with K and with the strip's length 1/2 - R0 (max |E| on the
-    strip is 7e7 at R0 0.2501, K 24), and Householder QR perturbs each
-    column by rounding relative to that column's norm.  With the unit rows
-    of I on top, that error swamps them: the bands were off by 8.5e-12 at
-    R0 0.2501, K 24, eta 0, h 0.1.  Householder QR is row-wise stable
-    with the rows sorted by decreasing size and column pivoting (Powell and
-    Reid; Cox and Higham).  So the strip rows go on top and the columns are
-    taken once in decreasing strip norm, a static form of that pivoting;
-    in the case above the bands are then within 5e-14 of a high-precision
-    solve.  Against a basis orthonormalized on the whole cell they agree to
-    1e-12 up to K 24 for every R0, and on the longest strip (R0 0.2501,
-    eta 0) to 1e-11 at K 32 and 1e-9 at K 40: there the rounding of E on
-    the strip (3e12 at K 40), and of the QR that scales it back, costs
-    digits that the whole-cell basis keeps.
-
-    The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the
-    eta-fiber space, so each fiber is the generalized problem A x = lambda G x
-    in the twisted columns of the cell-orthonormal basis Q0, with the d x d
-    matrices G = Q0^H diag(w t) Q0 and A = Q0^H diag(w b t) Q0, where
-    t = |e^{i (eta - eta0) z}|^2 = e^{s x} with x = Im z / Y in [-1, 1],
-    Y = max |Im z| over the disc and the first (widest) strip and
-    s = -2 (eta - eta0) Y.  All of a cell's fibers are solved in one stacked
-    pass of Cholesky factors and eigensolves (_fiber_bands): numpy.linalg's
-    fixed cost per call outweighs the LAPACK work on one d x d fiber.
-
-    No fiber touches an n-node array.  e^{s x} is entire in x, and its
-    Chebyshev series sum_m c_m(s) T_m(x) converges superexponentially
-    (c_m = 2 I_m(s) for m >= 1), so G = sum_m c_m G_m and A = sum_m c_m A_m
-    with the eta-independent moments G_m = Q0^H diag(w T_m(x)) Q0 and
-    A_m = Q0^H diag(w b T_m(x)) Q0, m = 0..M.  M is the smallest degree
-    with 2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S, S = max |s| over the folded
-    grid: the left side bounds the series tail, and the factor e^-S keeps
-    the error at rounding level against the smallest eigenvalue of G, which
-    is at least e^-|s|.  The folded range lies in [0, pi] and eta0 is its
-    middle, so R0 < 1/2 gives S < pi/2 and M <= 17; on the default grid
-    linspace(-pi, pi, 65) at R0 0.35, M is 15.  The c_m interpolate e^{s x}
-    at numpy's M + 1 Chebyshev points of the first kind (chebpts1), with
-    T_m there from chebvander.
-
-    Every moment is real symmetric.  The cell, the rule, the radial symbol
-    b and x are invariant under the mirror z -> -conj(z), and every column
-    of E obeys q(-conj z) = conj q(z) (build_basis), so each sum over the
-    rule is the real sum over its half (geometry.mirror_half) with the
-    columns' (re, im) pairs as the rows of a real matrix.  So all moments,
-    QR and Cholesky factors, solves and eigensolves are real.  The 2 (M + 1)
-    disc moments come from one product per chunk of the disc's columns, over
-    the upper triangle (_chebyshev_moments).  The strip's nodes come in rows
-    of one height y (geometry.build_cell_strip_quadrature), so its M + 1 G_m
-    are T_m(y / Y) times one d x d product per row, summed.
-
-    M = 0 (every s is 0: a grid that folds to a single point eta0, or
-    all-real nodes) is settled before any expansion: every fiber is the one
-    matrix R^-T A_0 R^-1, with A_0 = compress(v b, E^T) and G = I by
-    orthonormality, and one eigensolve, with no coefficients, further
-    moments or Cholesky factor.
+    The first next() builds every cell's strip rule.  The basis is evaluated on
+    _STRIP_BATCH strips per call, when the batch's first cell is asked for: a
+    call replays the basis recurrence in d sequential steps, whose fixed cost
+    outweighs the arithmetic on one strip, and the batch bounds a step's work on
+    a long h-list.  A cell's QR update and fiber solves wait until it is asked
+    for, so a caller that stops early solves no more cells.
 
     The cell quadrature orders n_r, n_t and n_strip default to None, which
-    derives them from K_modes and R0 (_quadrature_orders): a fixed rule
-    would integrate the products of high modes wrongly once K_modes or R0
-    grows.  An order given explicitly is used as given; n_t must be even,
-    or the rule has no mirror half (ValueError).
+    derives them from K_modes and R0 (_quadrature_orders): a fixed rule would
+    integrate the products of high modes wrongly once K_modes or R0 grows.  An
+    order given explicitly is used as given; n_t must be even, or the rule has
+    no mirror half (ValueError).
     """
     etas = np.asarray(list(eta_grid), dtype=float)
     if etas.size == 0:
@@ -329,67 +376,25 @@ def band_structures(
     first = cells[0]
     for cell in cells:
         if cell.R0 != first.R0 or cell.h > first.h:
-            raise ValueError(
-                f"every cell must have R0={first.R0} and h <= {first.h}, got {cell}"
-            )
+            raise ValueError(f"every cell must have R0={first.R0} and h <= {first.h}, got {cell}")
     n_r, n_t, n_strip = (
         given if given is not None else derived
         for given, derived in zip((n_r, n_t, n_strip), _quadrature_orders(K_modes, first.R0))
     )
     folded, fiber = _fold(etas)
     strips = [build_cell_strip_quadrature(cell, n_strip) for cell in cells]
-    # the disc stage
-    disc = build_cell_disc_quadrature(first.R0, n_r, n_t)
-    n_half, v = mirror_half(disc)
-    z = disc.nodes[:n_half]
-    b = np.repeat(eval_cell_symbol(profile, first, z), 2)
-    eta0 = 0.5 * (folded[0] + folded[-1])
-    basis = build_basis(first, eta0, K_modes, disc)
-    # the columns' (re, im) pairs on the half rule as rows: a view, since
-    # build_basis stores the columns of Q as the rows of its buffer
-    E = basis.Q[:n_half].T.view(float)
-    d = basis.dim_eff
-    Y = max(np.abs(z.imag).max(), np.abs(strips[0].nodes.imag).max())
-    s = -2.0 * (folded - eta0) * Y
-    M = _chebyshev_terms(float(np.abs(s).max()))
-    if M == 0:
-        A_0 = compress(v * b, E.T)
-    else:
-        # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
-        # c_m = (2 - [m = 0]) / (M + 1) sum_j e^{s x_j} T_m(x_j)
-        x_cheb = chebpts1(M + 1)
-        c = np.exp(np.outer(s, x_cheb)) @ chebvander(x_cheb, M) * (2.0 / (M + 1))
-        c[:, 0] *= 0.5
-        moments = _chebyshev_moments(E, v, b, np.repeat(z.imag / Y, 2), M)
-        moments = moments.reshape(-1, d, d)  # A_m, then G_m
-
-    # the basis columns on the right half of every strip, as rows of (re, im)
-    # pairs: one evaluation, of which each cell takes its own columns
-    F_all = basis.evaluate(np.concatenate([strip.nodes for strip in strips])).T.view(float)
-    for strip, F in zip(strips, np.split(F_all, len(strips), axis=1)):
-        vs = np.repeat(2.0 * strip.weights, 2)
-        # heavy rows and columns first: the strip rows, then I, and the
-        # columns by decreasing norm on the strip (the docstring says why)
-        rows = F.T * np.sqrt(vs)[:, None]
-        cols = np.argsort(-np.linalg.norm(rows, axis=0))
-        R = np.linalg.qr(np.vstack([rows, np.eye(d)])[:, cols], mode="r")
-        # R is triangular in the permuted columns, so the inverse of the
-        # factor in the original columns is R^-1 with its rows unpermuted
-        R_inv = np.linalg.inv(R)[np.argsort(cols)]
-        if M == 0:
-            # G = I, so every fiber is A_0 in the cell-orthonormal basis
-            row = _band_eigenvalues((R_inv.T @ A_0 @ R_inv)[None], N_keep)
-            lambdas = np.tile(row, (folded.size, 1))
-        else:
-            # the strip's G_m in the basis E R^-1: its nodes come in rows of
-            # one height y, so T_m(y / Y) weighs one d x d product per row
-            Fr = (R_inv.T @ F).reshape(d, n_strip, -1).transpose(1, 0, 2)
-            per_row = (Fr * vs.reshape(n_strip, 1, -1)) @ Fr.transpose(0, 2, 1)
-            T = chebvander(strip.nodes.imag[::n_strip] / Y, M).T
-            A_cell, G_cell = (R_inv.T @ moments @ R_inv).reshape(2, M + 1, d * d)
-            G_cell += T @ per_row.reshape(n_strip, d * d)
-            lambdas = _fiber_bands(c, A_cell, G_cell, N_keep)
-        yield BandStructure(etas=etas, lambdas=lambdas[fiber], dim_eff=d)
+    stage = _disc_stage(first, profile, folded, K_modes, n_r, n_t, strips[0])
+    for start in range(0, len(strips), _STRIP_BATCH):
+        batch = strips[start : start + _STRIP_BATCH]
+        # the basis on the batch's strips, (re, im) pairs as rows; each cell takes its columns
+        F_all = stage.basis.evaluate(np.concatenate([strip.nodes for strip in batch]))
+        for strip, F in zip(batch, np.split(F_all.T.view(float), len(batch), axis=1)):
+            moments = _cell_moments(stage, strip, F)
+            if stage.M == 0:  # G = I: every fiber is A_0 in the cell-orthonormal basis
+                lambdas = np.tile(_band_eigenvalues(moments[None], N_keep), (folded.size, 1))
+            else:
+                lambdas = _fiber_bands(stage.c, *moments, N_keep)
+            yield BandStructure(etas=etas, lambdas=lambdas[fiber], dim_eff=stage.basis.dim_eff)
 
 
 def compute_bands(
@@ -507,10 +512,8 @@ def h_convergence_study(
     +x and -x share a modulus: the fiber and the oracle may order them
     differently.
 
-    Every cell is built, and so every h checked, before any band work.  The
-    bands come from one band_structures pass: the basis and the disc moments
-    are formed once, on the disc, and each h adds its ligament as one d x d
-    QR update.
+    Every cell is built, and so every h checked, before any band work; the
+    bands come from one band_structures pass.
     """
     hs = [float(h) for h in h_list]
     if not hs:

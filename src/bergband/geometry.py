@@ -224,8 +224,9 @@ def build_cell_quadrature(
 
 
 def mirror_half(rule: QuadratureRule) -> tuple[int, np.ndarray]:
-    """The leading half of a mirror-ordered rule (``build_cell_quadrature``)
-    and the real weights that integrate mirror-real products on it.
+    """The leading half of a mirror-ordered rule (``build_cell_quadrature``
+    or ``build_cell_disc_quadrature``) and the real weights that integrate
+    mirror-real products on it.
 
     A function with f(-conj z) = conj f(z) is real where Re z = 0.  For two
     such f and g the sum of w conj(f) g over the whole rule is therefore
@@ -248,7 +249,7 @@ def mirror_half(rule: QuadratureRule) -> tuple[int, np.ndarray]:
     ):
         raise ValueError(
             "quadrature rule is not mirror-ordered under z -> -conj(z): "
-            "build it with build_cell_quadrature and an even n_t"
+            "build it with build_cell_quadrature or build_cell_disc_quadrature and an even n_t"
         )
     v = w[:n_half].copy()
     v[:n_off] *= 2.0

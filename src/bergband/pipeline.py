@@ -167,9 +167,7 @@ def config_bands(
 ) -> Iterator[BandStructure]:
     """Band structures of ``profile`` over the configured eta grid and
     basis, one per ligament half-width in ``hs``: one band_structures pass
-    over the cells of radius config.R0.  The first band structure also
-    evaluates the basis on every cell's strip; each cell's QR update and
-    fiber solves run only when that cell is asked for."""
+    over the cells of radius config.R0, each cell solved when asked for."""
     return band_structures(
         (CellGeometry(R0=config.R0, h=h) for h in hs),
         profile,
@@ -182,10 +180,9 @@ def config_bands(
 def run_prescribed_spectrum(config: RunConfig) -> RunResult:
     """Synthesize, then halve h until the gap report passes or h_min is hit.
 
-    The h-steps are one config_bands pass.  The first step forms the
-    basis, the disc moments and the basis on the strip of every h of the
-    halving sequence; each later step adds only its ligament's QR update
-    and fiber solves, and no step after the first pass is solved.  Each
+    The h-steps are one config_bands pass.  The first step forms the basis
+    and the disc moments; each step adds its ligament's QR update and fiber
+    solves, and no step after the first pass is solved.  Each
     diagnostics["h_trace"] entry records its step's band time as bands_s.
 
     An empty target list passes trivially (zero symbol, spectrum = {0}).
@@ -249,7 +246,6 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
     hs = [config.h_initial]
     while 0.5 * hs[-1] >= config.h_min:
         hs.append(0.5 * hs[-1])
-    # all strips are evaluated at the first step; none after the first pass is solved
     steps = config_bands(config, profile, hs)
     for h in hs:
         start = time.perf_counter()

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from bergband import band_solver
-from bergband.geometry import CellGeometry, build_cell_quadrature, compress
+from bergband.geometry import (
+    CellGeometry,
+    build_cell_quadrature,
+    build_cell_strip_quadrature,
+    compress,
+)
 from bergband.pipeline import RunConfig
 from bergband.symbols import RadialProfile, TargetSpec, synthesize_profile
 from bergband.disc_spectrum import compute_disc_spectrum
@@ -328,6 +333,23 @@ class TestBandStructures:
 
     def test_no_cells_no_bands(self, k3_profile):
         assert list(band_structures([], k3_profile, [0.0])) == []
+
+    @pytest.mark.parametrize("h", [0.1, 0.002])
+    @pytest.mark.parametrize("R0", [0.2501, 0.35, 0.49])
+    def test_cell_gram_is_identity(self, k3_profile, R0, h):
+        # G_0 = Q0^H diag(w) Q0 is the Gram matrix on the whole cell of the
+        # basis the strip's QR update makes orthonormal; the worst defect,
+        # 3.4e-14, is on the longest strip (R0 0.2501, h 0.1)
+        cell = CellGeometry(R0=R0, h=h)
+        n_r, n_t, n_strip = band_solver._quadrature_orders(10, R0)
+        folded, _ = band_solver._fold(np.linspace(-np.pi, np.pi, 65))
+        strip = build_cell_strip_quadrature(cell, n_strip)
+        stage = band_solver._disc_stage(cell, k3_profile, folded, 10, n_r, n_t, strip)
+        F = stage.basis.evaluate(strip.nodes).T.view(float)
+        _, G_cell = band_solver._cell_moments(stage, strip, F)
+        d = stage.basis.dim_eff
+        assert stage.M > 0
+        assert np.max(np.abs(G_cell[0].reshape(d, d) - np.eye(d))) <= 1e-13
 
 
 def _reference_fiber_bands(c, A_cell, G_cell, N_keep):

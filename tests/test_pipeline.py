@@ -179,6 +179,16 @@ class TestRunPrescribedSpectrum:
         assert [cell.h for cell, _ in strips] == [0.05 / 2**k for k in range(6)]
         assert sum(len(A) for A, _ in solves) == 33  # one fiber per stacked matrix
 
+    def test_long_h_list_evaluates_one_batch(self, count_calls):
+        # a halving sequence of about 1000 h evaluates the basis on one batch
+        # of strips before its first pass, not on every strip of the sequence
+        evaluations = count_calls(TwistedBasis, "evaluate")
+        result = run_prescribed_spectrum(RunConfig(targets=(0.3, 0.2, 0.1), h_min=1e-300))
+        assert result.verdict and result.chosen_h == 0.05
+        n_strip = band_solver._quadrature_orders(10, 0.35)[2]
+        assert sum(nodes.size for _, nodes in evaluations) <= band_solver._STRIP_BATCH * n_strip**2
+        assert band_solver._STRIP_BATCH <= 32
+
     def test_determinism(self, fast_config):
         r1 = run_prescribed_spectrum(fast_config)
         r2 = run_prescribed_spectrum(fast_config)
