@@ -128,50 +128,60 @@ def _chebyshev_terms(S: float) -> int:
     return M
 
 
-# Real columns (two per half-rule node) per product in _chebyshev_moments: its
-# Khatri-Rao block is d (d + 1) / 2 x _MOMENT_CHUNK doubles, 4.6 MB at d = 33.
-_MOMENT_CHUNK = 1024
+# Half-rule nodes per product in _chebyshev_moments: its Khatri-Rao block is
+# d (d + 1) / 2 x _MOMENT_CHUNK doubles, 2.3 MB at d = 33.
+_MOMENT_CHUNK = 512
 
 
 def _chebyshev_moments(
     R: np.ndarray, v: np.ndarray, b: np.ndarray, x: np.ndarray, M: int
 ) -> np.ndarray:
-    """The 2 (M + 1) real moments R diag(u) R^T of _disc_stage, M >= 1,
-    for the weight rows u = v b T_m(x), m = 0..M, then u = v T_m(x),
-    m = 0..M, returned as the rows of a 2 (M + 1) x d^2 array, each a
-    flattened d x d matrix.  R is d x n, its rows the basis columns on the
-    half rule as (re, im) pairs, and v, b, x have one entry per column of R.
+    """The 2 (M + 1) real moments of _disc_stage, M >= 1, for the weight rows
+    u = v b T_m(x), m = 0..M, then u = v T_m(x), m = 0..M, returned as the rows
+    of a 2 (M + 1) x d^2 array, each a flattened d x d matrix.  R is d x 2n, its
+    rows the basis columns on the half rule as (re, im) pairs, and v, b, x have
+    one entry per node, the n pairs of columns of R.
 
-    Entry (k, l) of every moment is sum_j u_j R[k, j] R[l, j], so all of
-    them are one product of the stacked weight rows with the Khatri-Rao
-    rows P[(k, l), j] = R[k, j] R[l, j].  The moments are symmetric, so P
-    holds the upper triangle k <= l only and the lower one is mirrored.  The
-    columns are taken _MOMENT_CHUNK at a time, so that P and the weight rows
+    Entry (k, l) of every moment is sum_j u_j (re_k re_l + im_k im_l)(z_j), so
+    all of them are one product of the stacked weight rows with the Khatri-Rao
+    rows P[(k, l), j] = re_k re_l + im_k im_l at node j: one column per node,
+    since both halves of a pair carry its weight.  The moments are symmetric,
+    so P holds the upper triangle k <= l only and the lower one is mirrored.
+    The nodes are taken _MOMENT_CHUNK at a time, so that P and the weight rows
     stay small: one product per chunk.
     """
-    d, n = R.shape
+    d, n = R.shape[0], v.size
     rows = 2 * (M + 1)
     k_idx, l_idx = np.triu_indices(d)
     upper = np.zeros((rows, k_idx.size))
     U = np.empty((rows, _MOMENT_CHUNK))
     P = np.empty((k_idx.size, _MOMENT_CHUNK))
+    # a chunk's re and im halves, copied out of their pairs, and scratch rows
+    halves = np.empty((3, d, _MOMENT_CHUNK))
+    pairs = R.reshape(d, n, 2)
     for start in range(0, n, _MOMENT_CHUNK):
-        cols = slice(start, start + _MOMENT_CHUNK)
-        q = R[:, cols]
+        nodes = slice(start, start + _MOMENT_CHUNK)
+        q = pairs[:, nodes]
         size = q.shape[1]
         u, p = U[:, :size], P[:, :size]
         # rows M+1.. hold v T_m(x) by the Chebyshev recurrence, rows ..M b times them
-        vT, xc = u[M + 1 :], x[cols]
+        vT, xc = u[M + 1 :], x[nodes]
         x2 = 2.0 * xc
-        vT[0] = v[cols]
+        vT[0] = v[nodes]
         np.multiply(vT[0], xc, out=vT[1])
         for m in range(2, M + 1):
             np.multiply(vT[m - 1], x2, out=vT[m])
             vT[m] -= vT[m - 2]
-        np.multiply(vT, b[cols], out=u[: M + 1])
+        np.multiply(vT, b[nodes], out=u[: M + 1])
+        qr, qi, t = halves[:, :, :size]
+        np.copyto(qr, q[..., 0])
+        np.copyto(qi, q[..., 1])
         row = 0
         for k in range(d):
-            np.multiply(q[k], q[k:], out=p[row : row + d - k])
+            pk, tk = p[row : row + d - k], t[: d - k]
+            np.multiply(qr[k], qr[k:], out=pk)
+            np.multiply(qi[k], qi[k:], out=tk)
+            pk += tk
             row += d - k
         upper += u @ p.T
     moments = np.empty((rows, d, d))
@@ -255,15 +265,19 @@ def _disc_stage(
     Every moment is real symmetric: the cell, the rule, b and x are mirror
     symmetric (z -> -conj(z)) and every column of E is mirror-real
     (build_basis), so each sum over the rule is a real sum over its half
-    (geometry.mirror_half), with the columns' (re, im) pairs as rows.
+    (geometry.mirror_half), with the columns' (re, im) pairs as rows.  Both
+    halves of a pair share the node's weight, symbol and x, so _chebyshev_moments
+    takes those once per node (every other entry of mirror_half's v) and forms
+    one Khatri-Rao column per node.
 
     M = 0 (every s is 0: a grid that folds to eta0, or all-real nodes) needs no
-    expansion: G = I by orthonormality, and the stage holds A_0 = compress(v b, E^T).
+    expansion: G = I by orthonormality, and the stage holds A_0 = compress(v b, E^T),
+    with b repeated for each pair.
     """
     disc = build_cell_disc_quadrature(cell.R0, n_r, n_t)
     n_half, v = mirror_half(disc)
     z = disc.nodes[:n_half]
-    b = np.repeat(eval_cell_symbol(profile, cell, z), 2)
+    b = eval_cell_symbol(profile, cell, z)
     eta0 = 0.5 * (folded[0] + folded[-1])
     basis = build_basis(cell, eta0, K_modes, disc)
     # the columns' (re, im) pairs on the half rule as rows: a view, since
@@ -273,13 +287,13 @@ def _disc_stage(
     s = -2.0 * (folded - eta0) * Y
     M = _chebyshev_terms(float(np.abs(s).max()))
     if M == 0:
-        return _DiscStage(basis, Y, M, None, compress(v * b, E.T))
+        return _DiscStage(basis, Y, M, None, compress(v * np.repeat(b, 2), E.T))
     # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
     # c_m = (2 - [m = 0]) / (M + 1) sum_j e^{s x_j} T_m(x_j)
     x_cheb = chebpts1(M + 1)
     c = np.exp(np.outer(s, x_cheb)) @ chebvander(x_cheb, M) * (2.0 / (M + 1))
     c[:, 0] *= 0.5
-    moments = _chebyshev_moments(E, v, b, np.repeat(z.imag / Y, 2), M)
+    moments = _chebyshev_moments(E, v[::2], b, z.imag / Y, M)
     return _DiscStage(basis, Y, M, c, moments.reshape(-1, basis.dim_eff, basis.dim_eff))
 
 
@@ -352,12 +366,13 @@ def band_structures(
     is solved once (_fold), and the rows of the caller's grid, in its order, are
     copies.
 
-    The first next() builds every cell's strip rule.  The basis is evaluated on
-    _STRIP_BATCH strips per call, when the batch's first cell is asked for: a
-    call replays the basis recurrence in d sequential steps, whose fixed cost
-    outweighs the arithmetic on one strip, and the batch bounds a step's work on
-    a long h-list.  A cell's QR update and fiber solves wait until it is asked
-    for, so a caller that stops early solves no more cells.
+    The cells are taken _STRIP_BATCH at a time, when the batch's first cell is
+    asked for: the batch's strip rules are built then, and the basis is evaluated
+    on all of them in one call.  A call replays the basis recurrence in d
+    sequential steps, whose fixed cost outweighs the arithmetic on one strip,
+    and the batch bounds a step's work on a long h-list.  A cell's QR update and
+    fiber solves wait until it is asked for, so a caller that stops early builds
+    and solves no more batches and cells.
 
     The cell quadrature orders n_r, n_t and n_strip default to None, which
     derives them from K_modes and R0 (_quadrature_orders): a fixed rule would
@@ -382,10 +397,12 @@ def band_structures(
         for given, derived in zip((n_r, n_t, n_strip), _quadrature_orders(K_modes, first.R0))
     )
     folded, fiber = _fold(etas)
-    strips = [build_cell_strip_quadrature(cell, n_strip) for cell in cells]
-    stage = _disc_stage(first, profile, folded, K_modes, n_r, n_t, strips[0])
-    for start in range(0, len(strips), _STRIP_BATCH):
-        batch = strips[start : start + _STRIP_BATCH]
+    stage = None
+    for start in range(0, len(cells), _STRIP_BATCH):
+        cut = cells[start : start + _STRIP_BATCH]
+        batch = [build_cell_strip_quadrature(cell, n_strip) for cell in cut]
+        if stage is None:  # Y is taken over the disc and the first, widest, strip
+            stage = _disc_stage(first, profile, folded, K_modes, n_r, n_t, batch[0])
         # the basis on the batch's strips, (re, im) pairs as rows; each cell takes its columns
         F_all = stage.basis.evaluate(np.concatenate([strip.nodes for strip in batch]))
         for strip, F in zip(batch, np.split(F_all.T.view(float), len(batch), axis=1)):

@@ -10,12 +10,15 @@ fiber space.
 The raw modes are Vandermonde-grade ill-conditioned (they grow like
 e^{2 pi |k| R0} across the disc), so they are never formed.  Each new
 column is the previous one in its chain times e^{+-2 pi i z},
-re-orthogonalized by classical Gram-Schmidt done twice, each pass one block
-projection against all accepted columns.  The second pass restores
-orthogonality to the unit roundoff whenever the candidate is numerically
-independent ("twice is enough": Giraud, Langou and Rozloznik, Comput.
-Math. Appl. 50 (2005) 1069-1075); dependent candidates are what ``CUTOFF``
-rejects.
+re-orthogonalized by classical Gram-Schmidt done twice.  The candidates of
+both chains at one k form a block, and each pass is one block projection
+against all accepted columns (block CGS2: Barlow and Smoktunowicz, Numer.
+Math. 123 (2013) 395-423), so a pass reads the accepted columns once for
+both chains; the -1 candidate is then orthogonalized, twice, against the +1
+column accepted at the same k.  The second pass restores orthogonality to
+the unit roundoff whenever the candidate is numerically independent ("twice
+is enough": Giraud, Langou and Rozloznik, Comput. Math. Appl. 50 (2005)
+1069-1075); dependent candidates are what ``CUTOFF`` rejects.
 
 This is an Arnoldi process ("Vandermonde with Arnoldi": Brubeck,
 Nakatsukasa and Trefethen, SIAM Rev. 63 (2021) 405-415).  The basis keeps
@@ -124,10 +127,16 @@ def build_basis(
 
     Starting from the normalized seed e^{i eta z}, modes with k = +-1,
     +-2, ... are generated by multiplying the most recent column of the
-    corresponding chain by e^{+-2 pi i z} and orthogonalizing by CGS2.  A
-    candidate whose orthogonal remainder is below ``CUTOFF`` relative to its
-    pre-projection norm is discarded, and its chain stops, since further
-    multiples would inherit the dependency.
+    corresponding chain by e^{+-2 pi i z} and orthogonalizing by CGS2.  For
+    each k the live candidates of both chains form one block: each of the two
+    passes is one product of the block with the accepted columns and one
+    update of the block, and if this k's +1 column was accepted, the -1
+    candidate is then orthogonalized against it, twice.  A candidate whose
+    orthogonal remainder is below ``CUTOFF`` relative to its pre-projection
+    norm is discarded, and its chain stops, since further multiples would
+    inherit the dependency.  Column j's row of H holds its projections on
+    every earlier column, summed over both passes, whichever step removed
+    them, which is what ``TwistedBasis.evaluate`` replays.
 
     ``quad`` must be mirror-ordered (``build_cell_quadrature`` or its disc
     part ``build_cell_disc_quadrature``, even n_t).
@@ -135,7 +144,7 @@ def build_basis(
     induction, does every column: the projections are real, and real
     combinations keep the symmetry.  So the recurrence runs on the half rule
     of ``geometry.mirror_half`` alone, each sampled column viewed as a real
-    row of (re, im) pairs and each projection a real matrix-vector product;
+    row of (re, im) pairs and each projection a real matrix product;
     the mirror half of Q is its conjugate, and H is real.
     """
     if K_modes < 0:
@@ -148,7 +157,8 @@ def build_basis(
         return np.sqrt(np.dot(v, f * f))
 
     # Accepted columns are the rows of Qt, their recurrence the rows of H,
-    # parent and sign; the first m rows of each are filled.  R views the
+    # parent and sign; the first m rows of each are filled, and the
+    # candidates of one k are formed in the next rows of Qt.  R views the
     # half-rule part of Qt as real (re, im) rows; CGS2 works on R alone.
     Qt = np.empty((n_max, quad.nodes.size), dtype=complex)
     R = Qt[:, :n_half].view(float)
@@ -166,23 +176,37 @@ def build_basis(
     step = {s: np.exp(1j * s * 2.0 * np.pi * z) for s in (+1, -1)}
     head = {+1: 0, -1: 0}  # row of the last accepted column per chain
     for k in range(1, K_modes + 1):
-        for s in (+1, -1):
-            if head[s] < 0:
-                continue  # chain terminated at an earlier k
-            cand = step[s] * Qt[head[s], :n_half]
-            c = cand.view(float)
-            pre = wnorm(c)
-            hrow = np.zeros(m)
-            for _ in range(2):  # twice is enough (Giraud-Langou-Rozloznik)
-                proj = R[:m] @ (v * c)  # Q^H W cand
-                c -= proj @ R[:m]
-                hrow += proj
+        live = [s for s in (+1, -1) if head[s] >= 0]
+        if not live:
+            break  # both chains terminated
+        # the live candidates, the +1 chain first, as rows m0, m0 + 1 of R: at
+        # most 2k - 1 of the 2K + 1 rows are filled, so both are free
+        m0 = m
+        C = R[m0 : m0 + len(live)]
+        for i, s in enumerate(live):
+            np.multiply(step[s], Qt[head[s], :n_half], out=Qt[m0 + i, :n_half])
+        pre = np.sqrt((C * C) @ v)
+        hrows = np.zeros((len(live), m0))
+        for _ in range(2):  # twice is enough (Giraud-Langou-Rozloznik)
+            proj = (C * v) @ R[:m0].T  # Q^H W cand, one row per candidate
+            C -= proj @ R[:m0]
+            hrows += proj
+        for i, s in enumerate(live):
+            c = C[i]
+            H[m, :m0] = hrows[i]
+            if m > m0:  # this k's +1 column was accepted: remove it too, twice
+                H[m, m0] = 0.0
+                for _ in range(2):
+                    proj = R[m0] @ (v * c)
+                    c -= proj * R[m0]
+                    H[m, m0] += proj
             post = wnorm(c)
-            if post <= CUTOFF * pre:
+            if post <= CUTOFF * pre[i]:
                 head[s] = -1
                 continue
-            Qt[m, :n_half] = cand / post
-            H[m, :m], H[m, m] = hrow, post
+            # the -1 column moves up a row when the +1 candidate was rejected
+            np.divide(Qt[m0 + i, :n_half], post, out=Qt[m, :n_half])
+            H[m, m] = post
             parent[m], sign[m] = head[s], s
             head[s] = m
             m += 1

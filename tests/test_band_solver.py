@@ -401,22 +401,29 @@ class TestChebyshevMoments:
         [
             10,  # the size of the n_r 4, n_t 2, n_strip 1 rule: below one chunk
             2 * band_solver._MOMENT_CHUNK,
+            2 * band_solver._MOMENT_CHUNK + 1,  # a last chunk of one node
             2816,  # the size of the default rule: a partial last chunk
+            1,
         ],
-        ids=["below-chunk", "chunk-multiple", "default-rule"],
+        ids=[
+            "below-chunk",
+            "chunk-multiple",
+            "chunk-multiple-plus-one",
+            "default-rule",
+            "single-node",
+        ],
     )
     @pytest.mark.parametrize("M", [1, 6])
     def test_matches_per_row_compress(self, rng, n, M):
-        # n complex samples per column are 2 n real columns of R
+        # n complex samples per column are the n (re, im) pairs of a row of R;
+        # w, b and x come once per node
         d = min(n, 9)
         Q, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
         w = rng.uniform(0.5, 1.5, n)
         b = rng.uniform(-1.0, 1.0, n)
         x = rng.uniform(-1.0, 1.0, n)
         R = np.ascontiguousarray(Q.T).view(float)
-        moments = band_solver._chebyshev_moments(
-            R, np.repeat(w, 2), np.repeat(b, 2), np.repeat(x, 2), M
-        )
+        moments = band_solver._chebyshev_moments(R, w, b, x, M)
 
         T = np.polynomial.chebyshev.chebvander(x, M).T
         ref = np.array(

@@ -170,8 +170,9 @@ class TestRunPrescribedSpectrum:
         assert len(evaluations) == 1
 
     def test_pass_at_h_initial_solves_one_h(self, count_calls):
-        # every strip of the halving sequence is built at the first step, but
-        # only the step that passes is solved: 33 fibers of the 65-point grid
+        # the strips of the first batch, here the whole halving sequence, are
+        # built at the first step, but only the step that passes is solved:
+        # 33 fibers of the 65-point grid
         strips = count_calls(band_solver, "build_cell_strip_quadrature")
         solves = count_calls(band_solver, "_band_eigenvalues")
         result = run_prescribed_spectrum(RunConfig(targets=(0.3, 0.2, 0.1), h_initial=0.05))
@@ -188,6 +189,14 @@ class TestRunPrescribedSpectrum:
         n_strip = band_solver._quadrature_orders(10, 0.35)[2]
         assert sum(nodes.size for _, nodes in evaluations) <= band_solver._STRIP_BATCH * n_strip**2
         assert band_solver._STRIP_BATCH <= 32
+
+    def test_long_h_list_builds_one_batch_of_strips(self, count_calls):
+        # a halving sequence of about 1000 h builds the strip rules of its
+        # first batch only, not of every h, before its first pass
+        strips = count_calls(band_solver, "build_cell_strip_quadrature")
+        result = run_prescribed_spectrum(RunConfig(targets=(0.3, 0.2, 0.1), h_min=1e-300))
+        assert result.verdict and result.chosen_h == 0.05
+        assert len(strips) <= band_solver._STRIP_BATCH
 
     def test_determinism(self, fast_config):
         r1 = run_prescribed_spectrum(fast_config)

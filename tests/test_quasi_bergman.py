@@ -176,6 +176,15 @@ class TestBlockGramSchmidt:
     def test_matches_mgs_reference(self, cell_mid, rule, K, eta):
         self.assert_matches_mgs_reference(cell_mid, rule, K, eta)
 
+    @pytest.mark.parametrize("eta", [0.0, 1.3, -np.pi])
+    def test_chains_stop_at_different_k(self, cell_mid, eta):
+        # six nodes hold six columns: the -1 chain stops at k 3 and the +1
+        # chain at k 4, so the block of k 4 holds the +1 candidate alone
+        rule = build_cell_quadrature(cell_mid, n_r=1, n_t=2, n_strip=1)
+        basis = build_basis(cell_mid, eta, 4, rule)
+        assert list(basis.sign) == [0, 1, -1, 1, -1, 1]
+        self.assert_matches_mgs_reference(cell_mid, rule, 4, eta)
+
     @pytest.mark.parametrize("K", [24, 32])
     @pytest.mark.parametrize("R0", [0.26, 0.49])
     def test_matches_mgs_reference_across_R0(self, R0, K):
