@@ -21,10 +21,9 @@ from numpy.polynomial.chebyshev import chebpts1, chebvander
 # two pieces); bench/tracing.py looks the name up in this module
 from .geometry import (
     CellGeometry,
-    QuadratureRule,
     build_cell_disc_quadrature,
     build_cell_quadrature,
-    build_cell_strip_quadrature,
+    build_cell_strip_rules,
     compress,
     mirror_half,
 )
@@ -236,13 +235,13 @@ class _DiscStage(NamedTuple):
 
 def _disc_stage(
     cell: CellGeometry, profile: RadialProfile, folded: np.ndarray, K_modes: int,
-    n_r: int, n_t: int, strip: QuadratureRule,
+    n_r: int, n_t: int, strip_nodes: np.ndarray,
 ) -> _DiscStage:
     """Everything of band_structures that does not depend on h: the disc rule
     (geometry.build_cell_disc_quadrature), the symbol b (zero on the strip), and
     the basis E, orthonormalized on the disc once (build_basis, "Vandermonde
     with Arnoldi") at the middle eta0 of the folded range, with its moments.
-    strip is the rule of the first, widest, cell.
+    strip_nodes are the strip nodes of the first, widest, cell.
 
     The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the eta-fiber
     space, so each fiber is A x = lambda G x with the d x d matrices
@@ -283,7 +282,7 @@ def _disc_stage(
     # the columns' (re, im) pairs on the half rule as rows: a view, since
     # build_basis stores the columns of Q as the rows of its buffer
     E = basis.Q[:n_half].T.view(float)
-    Y = max(np.abs(z.imag).max(), np.abs(strip.nodes.imag).max())
+    Y = max(np.abs(z.imag).max(), np.abs(strip_nodes.imag).max())
     s = -2.0 * (folded - eta0) * Y
     M = _chebyshev_terms(float(np.abs(s).max()))
     if M == 0:
@@ -297,10 +296,30 @@ def _disc_stage(
     return _DiscStage(basis, Y, M, c, moments.reshape(-1, basis.dim_eff, basis.dim_eff))
 
 
-def _cell_moments(stage: _DiscStage, strip: QuadratureRule, F: np.ndarray):
+def _strip_operand(F: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, Xt): the column order of an h-list's QR updates and their operand
+    buffer (_cell_moments), from the basis F on its first, widest, strip as
+    (re, im) rows and the strip weights vs, one per row entry.  cols sorts
+    the columns by decreasing norm of the strip rows, the rows of F scaled by
+    sqrt(vs).  Xt is the transposed operand, d x (n + d) for n entries per row
+    of F, with its identity block placed: Xt[j, n + cols[j]] = 1."""
+    d, n = F.shape
+    cols = np.argsort(-np.linalg.norm(F * np.sqrt(vs), axis=1))
+    Xt = np.zeros((d, n + d))
+    Xt[np.arange(d), n + cols] = 1.0
+    return cols, Xt
+
+
+def _cell_moments(
+    stage: _DiscStage, cols: np.ndarray, Xt: np.ndarray, F: np.ndarray, vs: np.ndarray,
+    y: np.ndarray,
+):
     """One cell's moments in its cell-orthonormal basis: the (M + 1) x d^2 rows
     (A_cell, G_cell) of the flattened A_m and G_m (_disc_stage), or the d x d
-    A_0 alone when M = 0.  F holds the basis on the strip rule as (re, im) rows.
+    A_0 alone when M = 0.  F holds the basis on the cell's strip rule as
+    (re, im) rows, vs the rule's weights doubled (the mirror half) and repeated
+    for each pair, and y the rule's heights (build_cell_strip_rules).  cols and
+    the operand buffer Xt are the h-list's (_strip_operand).
 
     The strip enters as rows appended to a QR factorization (Golub and Van Loan,
     Matrix Computations, 6.5): the rows of F scaled by sqrt(2 w), stacked on I.
@@ -311,7 +330,7 @@ def _cell_moments(stage: _DiscStage, strip: QuadratureRule, F: np.ndarray):
     I + S itself is never formed: its condition number reaches 9e11 (R0 0.26,
     K 24, h 0.1), where bands from its Cholesky factor are off by 3e-9.  The
     strip adds nothing to A_m, and its G_m sum T_m(y / Y) times one d x d
-    product per row of nodes of one height y (build_cell_strip_quadrature).
+    product per row of nodes of one height y.
 
     The order of the QR matters.  Outside the disc, E grows with K and with the
     strip's length 1/2 - R0 (to 7e7 at R0 0.2501, K 24), and Householder QR
@@ -319,30 +338,38 @@ def _cell_moments(stage: _DiscStage, strip: QuadratureRule, F: np.ndarray):
     when they come first: the bands were then off by 8.5e-12 at R0 0.2501, K 24,
     eta 0, h 0.1.  Householder QR is row-wise stable with the rows sorted by
     decreasing size and column pivoting (Powell and Reid; Cox and Higham), so
-    the strip rows go on top and the columns are taken once in decreasing strip
+    the strip rows go on top and the columns are taken in decreasing strip
     norm, a static form of that pivoting; the case above is then within 5e-14 of
-    a high-precision solve.  Against a basis orthonormalized on the whole cell
-    the bands agree to 1e-12 up to K 24 for every R0, and on the longest strip
-    (R0 0.2501, eta 0) to 1e-11 at K 32 and 1e-9 at K 40: the rounding of E on
-    the strip (3e12) and of the QR that scales it back costs digits there.
+    a high-precision solve.  The order is taken once per h-list, on its first
+    and widest strip (_strip_operand), so a lone cell is factored in its own
+    order.  Over 24 h from 0.1 to 0.002 at R0 0.2501 (K 10 and 24), 0.35 and
+    0.49, a later strip's own order differs from the first's by at most one
+    swap of two adjacent columns whose norms are within 0.2%, so the heavy
+    columns still come first.  Against a basis orthonormalized on the whole
+    cell the bands agree to 1e-12 up to K 24 for every R0, and on the longest
+    strip (R0 0.2501, eta 0) to 1e-11 at K 32 and 1e-9 at K 40: the rounding of
+    E on the strip (3e12) and of the QR that scales it back costs digits there.
+
+    The operand is the matrix [F^T diag(sqrt(vs)); I] with its columns in the
+    order cols, held as its transpose Xt: the cell gathers its scaled rows of F
+    into the first n columns of Xt, and the identity block stays where
+    _strip_operand placed it.  Xt.T is then column-major, the layout LAPACK
+    factors, so numpy hands it over with a plain copy.
     """
     d, M = stage.basis.dim_eff, stage.M
-    vs = np.repeat(2.0 * strip.weights, 2)
-    # heavy rows and columns first: the strip rows above I (the docstring says why)
-    rows = F.T * np.sqrt(vs)[:, None]
-    cols = np.argsort(-np.linalg.norm(rows, axis=0))
-    R = np.linalg.qr(np.vstack([rows, np.eye(d)])[:, cols], mode="r")
+    n = F.shape[1]
+    np.multiply(F[cols], np.sqrt(vs), out=Xt[:, :n])
+    R = np.linalg.qr(Xt.T, mode="r")
     # R is triangular in the permuted columns, so the inverse of the factor
     # in the original columns is R^-1 with its rows unpermuted
     R_inv = np.linalg.inv(R)[np.argsort(cols)]
     if M == 0:
         return R_inv.T @ stage.moments @ R_inv
-    n_strip = math.isqrt(strip.weights.size)
-    Fr = (R_inv.T @ F).reshape(d, n_strip, -1).transpose(1, 0, 2)
-    per_row = (Fr * vs.reshape(n_strip, 1, -1)) @ Fr.transpose(0, 2, 1)
-    T = chebvander(strip.nodes.imag[::n_strip] / stage.Y, M).T
+    Fr = (R_inv.T @ F).reshape(d, y.size, -1).transpose(1, 0, 2)
+    per_row = (Fr * vs.reshape(y.size, 1, -1)) @ Fr.transpose(0, 2, 1)
+    T = chebvander(y / stage.Y, M).T
     A_cell, G_cell = (R_inv.T @ stage.moments @ R_inv).reshape(2, M + 1, d * d)
-    G_cell += T @ per_row.reshape(n_strip, d * d)
+    G_cell += T @ per_row.reshape(y.size, d * d)
     return A_cell, G_cell
 
 
@@ -367,12 +394,15 @@ def band_structures(
     copies.
 
     The cells are taken _STRIP_BATCH at a time, when the batch's first cell is
-    asked for: the batch's strip rules are built then, and the basis is evaluated
-    on all of them in one call.  A call replays the basis recurrence in d
-    sequential steps, whose fixed cost outweighs the arithmetic on one strip,
-    and the batch bounds a step's work on a long h-list.  A cell's QR update and
-    fiber solves wait until it is asked for, so a caller that stops early builds
-    and solves no more batches and cells.
+    asked for: the batch's strip rules are built then, in one vectorized pass
+    (build_cell_strip_rules), and the basis is evaluated on all of them in one
+    call, each cell taking its block of the result.  A call replays the basis
+    recurrence in d sequential steps, whose fixed cost outweighs the arithmetic
+    on one strip, and the batch bounds a step's work on a long h-list.  The QR
+    updates of every cell share one column order and one operand buffer, taken
+    on the first strip (_strip_operand), so a lone cell factors with its own
+    order.  A cell's QR update and fiber solves wait until it is asked for, so
+    a caller that stops early builds and solves no more batches and cells.
 
     The cell quadrature orders n_r, n_t and n_strip default to None, which
     derives them from K_modes and R0 (_quadrature_orders): a fixed rule would
@@ -400,13 +430,16 @@ def band_structures(
     stage = None
     for start in range(0, len(cells), _STRIP_BATCH):
         cut = cells[start : start + _STRIP_BATCH]
-        batch = [build_cell_strip_quadrature(cell, n_strip) for cell in cut]
+        nodes, weights = build_cell_strip_rules(cut, n_strip)
         if stage is None:  # Y is taken over the disc and the first, widest, strip
-            stage = _disc_stage(first, profile, folded, K_modes, n_r, n_t, batch[0])
-        # the basis on the batch's strips, (re, im) pairs as rows; each cell takes its columns
-        F_all = stage.basis.evaluate(np.concatenate([strip.nodes for strip in batch]))
-        for strip, F in zip(batch, np.split(F_all.T.view(float), len(batch), axis=1)):
-            moments = _cell_moments(stage, strip, F)
+            stage = _disc_stage(first, profile, folded, K_modes, n_r, n_t, nodes[0])
+        vs = np.repeat(2.0 * weights, 2, axis=1)
+        # the basis on the batch's strips, (re, im) pairs as rows; cell i takes block i
+        F = stage.basis.evaluate(nodes).T.view(float).reshape(stage.basis.dim_eff, len(cut), -1)
+        if start == 0:
+            cols, Xt = _strip_operand(F[:, 0], vs[0])
+        for i in range(len(cut)):
+            moments = _cell_moments(stage, cols, Xt, F[:, i], vs[i], nodes[i].imag[::n_strip])
             if stage.M == 0:  # G = I: every fiber is A_0 in the cell-orthonormal basis
                 lambdas = np.tile(_band_eigenvalues(moments[None], N_keep), (folded.size, 1))
             else:

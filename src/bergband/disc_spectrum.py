@@ -52,22 +52,27 @@ class DiscSpectrum:
         return len(self.eigenvalues)
 
 
-def moment_eigenvalue(profile: RadialProfile, n: int) -> float:
-    """n-th Taylor-coefficient eigenvalue of the Toeplitz operator T_b.
+def moment_eigenvalue(profile: RadialProfile, n: int | np.ndarray) -> float | np.ndarray:
+    """n-th Taylor-coefficient eigenvalue of the Toeplitz operator T_b, or an
+    array of them for an array of indices n.
 
     Closed form of  2 (n+1) * integral_0^s b(r) r^{2n+1} dr  for the
     polynomial profile with support radius s.  The normalization 2(n+1)
     is fixed by the identity symbol: a == 1 gives T_a = I, hence every
     eigenvalue must equal 1, and indeed 2(n+1) * 1/(2n+2) = 1, where the
-    (n+1)/pi of the literal moment formula would give 1/(2 pi).
+    (n+1)/pi of the literal moment formula would give 1/(2 pi).  The powers
+    of s are numpy's, for a single n too, so each entry of an array call is
+    bitwise the call with that n alone.
     """
-    if n < 0:
-        raise ValueError(f"eigenvalue index must be >= 0, got {n}")
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError(f"eigenvalue index must be >= 0, got {n.min()}")
     s = profile.support
-    integral = profile.constant_term * s ** (2 * n + 2) / (2 * n + 2)
+    integral = profile.constant_term * np.power(s, 2 * n + 2) / (2 * n + 2)
     for m, c in enumerate(profile.coeffs, start=1):
-        integral += c * s ** (2 * n + 2 * m + 3) / (2 * n + 2 * m + 3)
-    return 2.0 * (n + 1) * integral
+        integral += c * np.power(s, 2 * n + 2 * m + 3) / (2 * n + 2 * m + 3)
+    lam = 2.0 * (n + 1) * integral
+    return float(lam) if n.ndim == 0 else lam
 
 
 def compute_disc_spectrum(profile: RadialProfile, N_kept: int = 32) -> DiscSpectrum:
@@ -79,11 +84,12 @@ def compute_disc_spectrum(profile: RadialProfile, N_kept: int = 32) -> DiscSpect
     """
     if not (1 <= N_kept <= N_SCAN):
         raise ValueError(f"N_kept must be in [1, {N_SCAN}], got {N_kept}")
-    lams = [moment_eigenvalue(profile, n) for n in range(N_SCAN)]
-    # Decreasing |lambda|; ties broken by decreasing signed value, then index.
-    order = sorted(range(N_SCAN), key=lambda i: (-abs(lams[i]), -lams[i], i))
-    kept = [lams[i] if abs(lams[i]) > ZERO_CLUSTER_TOL else 0.0 for i in order[:N_kept]]
-    return DiscSpectrum(eigenvalues=tuple(kept))
+    lams = moment_eigenvalue(profile, np.arange(N_SCAN))
+    # Decreasing |lambda|; ties broken by decreasing signed value, then index
+    # (lexsort is stable, and its last key is the first).
+    top = lams[np.lexsort((-lams, -np.abs(lams)))[:N_kept]]
+    kept = np.where(np.abs(top) > ZERO_CLUSTER_TOL, top, 0.0)
+    return DiscSpectrum(eigenvalues=tuple(kept.tolist()))
 
 
 def _monomial_norm(R0: float, n: int) -> float:

@@ -24,6 +24,7 @@ __all__ = [
     "build_cell_quadrature",
     "build_cell_disc_quadrature",
     "build_cell_strip_quadrature",
+    "build_cell_strip_rules",
     "compress",
     "contains",
     "mirror_half",
@@ -177,22 +178,41 @@ def build_cell_disc_quadrature(
     )
 
 
-def build_cell_strip_quadrature(cell: CellGeometry, n_strip: int = 16) -> QuadratureRule:
-    """The right half (Re z > 0) of the strip part of ``build_cell_quadrature``.
+def build_cell_strip_rules(
+    cells: Sequence[CellGeometry], n_strip: int = 16
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rules of ``build_cell_strip_quadrature`` for many cells in one
+    vectorized pass: nodes and weights of shape ``(len(cells), n_strip**2)``,
+    row i the rule of ``cells[i]``.  Every operation is elementwise, so each
+    row is bitwise the rule the cell gets on its own, in any cell order.
 
-    It covers only ``{z in S_h : Re z > sqrt(R0^2 - (Im z)^2)}``, so no area
-    is counted twice with the disc: for each of ``n_strip`` Gauss heights
-    ``y`` in ``(-h, h)`` a mapped Gauss rule of order ``n_strip`` integrates
-    ``Re z`` from the circle to the cell edge 1/2; the curved inner boundary
-    is thus resolved exactly per line, with no meshing.  The nodes are
-    listed in rows of ``n_strip``, one row per height ``y``, the heights
+    The rule covers the right half (Re z > 0) of the strip part of
+    ``build_cell_quadrature``: only ``{z in S_h : Re z > sqrt(R0^2 - (Im z)^2)}``,
+    so no area is counted twice with the disc.  For each of ``n_strip`` Gauss
+    heights ``y`` in ``(-h, h)`` a mapped Gauss rule of order ``n_strip``
+    integrates ``Re z`` from the circle to the cell edge 1/2; the curved inner
+    boundary is thus resolved exactly per line, with no meshing.  The nodes
+    are listed in rows of ``n_strip``, one row per height ``y``, the heights
     increasing.  The left half is its mirror image -conj(z).
     """
     if n_strip < 1:
         raise ValueError(f"n_strip must be >= 1, got {n_strip}")
-    y, wy = _gauss_segment(-cell.h, cell.h, n_strip)
-    x, wx = _gauss_segment(np.sqrt(cell.R0**2 - y**2)[:, None], 0.5, n_strip)
-    return QuadratureRule((x + 1j * y[:, None]).ravel(), (wx * wy[:, None]).ravel())
+    h = np.array([cell.h for cell in cells])[:, None]
+    # R0**2 squared in Python, as a cell's rule always was: numpy's square
+    # rounds differently for about one R0 in 1200
+    r2 = np.array([cell.R0**2 for cell in cells])[:, None]
+    y, wy = _gauss_segment(-h, h, n_strip)
+    x, wx = _gauss_segment(np.sqrt(r2 - y**2)[..., None], 0.5, n_strip)
+    nodes = x + 1j * y[..., None]
+    weights = wx * wy[..., None]
+    return nodes.reshape(len(cells), -1), weights.reshape(len(cells), -1)
+
+
+def build_cell_strip_quadrature(cell: CellGeometry, n_strip: int = 16) -> QuadratureRule:
+    """The right half (Re z > 0) of the strip part of ``build_cell_quadrature``:
+    the one-cell case of ``build_cell_strip_rules``, which describes the rule."""
+    nodes, weights = build_cell_strip_rules([cell], n_strip)
+    return QuadratureRule(nodes[0], weights[0])
 
 
 def build_cell_quadrature(

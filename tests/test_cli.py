@@ -378,6 +378,22 @@ class TestChecks:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.startswith("usage: bergband")
 
+    def test_import_loads_no_scipy_or_test_tools(self):
+        # every CLI run starts with a fresh interpreter's import of bergband,
+        # so that import must not pull in scipy or the test tooling
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import sys, bergband; "
+            "print(*sorted({m.partition('.')[0] for m in sys.modules} "
+            "& {'scipy', 'pytest', 'hypothesis', 'mpmath'}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
     def test_unknown_command_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -38,7 +38,43 @@ class TestMomentEigenvalue:
             moment_eigenvalue(RadialProfile.unit(), -1)
 
 
+def _scalar_loop_spectrum(profile, N_kept):
+    """compute_disc_spectrum as one moment_eigenvalue call per index and a
+    sorted() on (-|lambda|, -lambda, index)."""
+    lams = [moment_eigenvalue(profile, n) for n in range(N_SCAN)]
+    order = sorted(range(N_SCAN), key=lambda i: (-abs(lams[i]), -lams[i], i))
+    return tuple(lams[i] if abs(lams[i]) > 1e-14 else 0.0 for i in order[:N_kept])
+
+
 class TestComputeDiscSpectrum:
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            RadialProfile.unit(),  # every eigenvalue is 1: all ties
+            RadialProfile(coeffs=(0.0,)),  # every eigenvalue is 0
+            # lambda_0 = -0.8 and lambda_20 = 0.8 tie in modulus, bitwise
+            RadialProfile(coeffs=(3.0,), constant_term=-2.0, support=1.0),
+            synthesize_profile([0.3, 0.2, 0.1]),
+            synthesize_profile([0.3, -0.25, 0.12]),
+            synthesize_profile([0.39, 0.34, 0.26, 0.15]),
+            RadialProfile(coeffs=(1.5, -40.0, 90.0), constant_term=0.2, support=0.37),
+        ],
+        ids=["unit", "zero", "mixed-sign-tie", "k3", "mixed-sign", "four", "support-0.37"],
+    )
+    @pytest.mark.parametrize("N_kept", [1, 32, N_SCAN])
+    def test_matches_scalar_loop(self, profile, N_kept):
+        spec = compute_disc_spectrum(profile, N_kept)
+        expected = _scalar_loop_spectrum(profile, N_kept)
+        assert np.array_equal(np.array(spec.eigenvalues).view(np.uint64), np.array(expected).view(np.uint64))
+
+    def test_array_of_indices(self, k3_profile):
+        n = np.arange(40)
+        lams = moment_eigenvalue(k3_profile, n)
+        assert lams.shape == (40,)
+        assert all(lams[i] == moment_eigenvalue(k3_profile, i) for i in n)
+        with pytest.raises(ValueError, match=">= 0"):
+            moment_eigenvalue(k3_profile, np.array([0, 3, -1]))
+
     def test_ordering(self, k3_profile):
         spec = compute_disc_spectrum(k3_profile)
         mods = np.abs(spec.eigenvalues)

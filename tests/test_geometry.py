@@ -9,6 +9,7 @@ from bergband.geometry import (
     build_cell_quadrature,
     build_cell_disc_quadrature,
     build_cell_strip_quadrature,
+    build_cell_strip_rules,
     contains,
     mirror_half,
 )
@@ -177,6 +178,19 @@ class TestCellQuadrature:
         )
         total = disc.total_weight + 2.0 * strip.total_weight
         assert total == pytest.approx(quad.total_weight, rel=1e-14)
+
+    @pytest.mark.parametrize("n_strip", [1, 3, 16])
+    def test_strip_rules_are_the_one_cell_rules(self, n_strip):
+        # each row of a batch, whatever the order of its cells, is bitwise
+        # the rule the cell gets on its own
+        cells = [CellGeometry(R0=0.3, h=h) for h in (0.02, 0.1, 0.002, 0.05)]
+        cells.append(CellGeometry(R0=0.49, h=0.07))
+        nodes, weights = build_cell_strip_rules(cells, n_strip)
+        assert nodes.shape == weights.shape == (len(cells), n_strip**2)
+        for cell, z, w in zip(cells, nodes, weights):
+            alone = build_cell_strip_quadrature(cell, n_strip)
+            assert np.array_equal(z.view(np.uint64), alone.nodes.view(np.uint64))
+            assert np.array_equal(w.view(np.uint64), alone.weights.view(np.uint64))
 
     def test_small_h_limit(self):
         # As h -> 0 the cell area tends to the disc area plus the full strip.

@@ -171,13 +171,15 @@ class TestRunPrescribedSpectrum:
 
     def test_pass_at_h_initial_solves_one_h(self, count_calls):
         # the strips of the first batch, here the whole halving sequence, are
-        # built at the first step, but only the step that passes is solved:
-        # 33 fibers of the 65-point grid
-        strips = count_calls(band_solver, "build_cell_strip_quadrature")
+        # built at the first step, in one call, but only the step that passes
+        # is solved: 33 fibers of the 65-point grid
+        strips = count_calls(band_solver, "build_cell_strip_rules")
         solves = count_calls(band_solver, "_band_eigenvalues")
         result = run_prescribed_spectrum(RunConfig(targets=(0.3, 0.2, 0.1), h_initial=0.05))
         assert result.verdict and result.chosen_h == 0.05
-        assert [cell.h for cell, _ in strips] == [0.05 / 2**k for k in range(6)]
+        assert [[cell.h for cell in cells] for cells, _ in strips] == [
+            [0.05 / 2**k for k in range(6)]
+        ]
         assert sum(len(A) for A, _ in solves) == 33  # one fiber per stacked matrix
 
     def test_long_h_list_evaluates_one_batch(self, count_calls):
@@ -193,10 +195,11 @@ class TestRunPrescribedSpectrum:
     def test_long_h_list_builds_one_batch_of_strips(self, count_calls):
         # a halving sequence of about 1000 h builds the strip rules of its
         # first batch only, not of every h, before its first pass
-        strips = count_calls(band_solver, "build_cell_strip_quadrature")
+        strips = count_calls(band_solver, "build_cell_strip_rules")
         result = run_prescribed_spectrum(RunConfig(targets=(0.3, 0.2, 0.1), h_min=1e-300))
         assert result.verdict and result.chosen_h == 0.05
-        assert len(strips) <= band_solver._STRIP_BATCH
+        [(cells, _)] = strips
+        assert len(cells) == band_solver._STRIP_BATCH
 
     def test_determinism(self, fast_config):
         r1 = run_prescribed_spectrum(fast_config)
@@ -237,3 +240,4 @@ class TestRunPrescribedSpectrum:
         assert result.spectrum_report.verdict is trace[-1]["verdict"] is False
         assert "failure" in result.diagnostics
         assert all(isinstance(step["dim_eff"], int) for step in trace)
+
