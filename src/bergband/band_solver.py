@@ -279,9 +279,10 @@ def _disc_stage(
     b = eval_cell_symbol(profile, cell, z)
     eta0 = 0.5 * (folded[0] + folded[-1])
     basis = build_basis(cell, eta0, K_modes, disc)
-    # the columns' (re, im) pairs on the half rule as rows: a view, since
-    # build_basis stores the columns of Q as the rows of its buffer
-    E = basis.Q[:n_half].T.view(float)
+    # the columns' (re, im) pairs on the half rule as rows, in decreasing |k|
+    # (_cell_moments): a view, since build_basis stores the columns of Q as
+    # the rows of its buffer
+    E = basis.Q[:n_half].T.view(float)[::-1]
     Y = max(np.abs(z.imag).max(), np.abs(strip_nodes.imag).max())
     s = -2.0 * (folded - eta0) * Y
     M = _chebyshev_terms(float(np.abs(s).max()))
@@ -296,30 +297,15 @@ def _disc_stage(
     return _DiscStage(basis, Y, M, c, moments.reshape(-1, basis.dim_eff, basis.dim_eff))
 
 
-def _strip_operand(F: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, Xt): the column order of an h-list's QR updates and their operand
-    buffer (_cell_moments), from the basis F on its first, widest, strip as
-    (re, im) rows and the strip weights vs, one per row entry.  cols sorts
-    the columns by decreasing norm of the strip rows, the rows of F scaled by
-    sqrt(vs).  Xt is the transposed operand, d x (n + d) for n entries per row
-    of F, with its identity block placed: Xt[j, n + cols[j]] = 1."""
-    d, n = F.shape
-    cols = np.argsort(-np.linalg.norm(F * np.sqrt(vs), axis=1))
-    Xt = np.zeros((d, n + d))
-    Xt[np.arange(d), n + cols] = 1.0
-    return cols, Xt
-
-
 def _cell_moments(
-    stage: _DiscStage, cols: np.ndarray, Xt: np.ndarray, F: np.ndarray, vs: np.ndarray,
-    y: np.ndarray,
+    stage: _DiscStage, Xt: np.ndarray, F: np.ndarray, vs: np.ndarray, y: np.ndarray
 ):
     """One cell's moments in its cell-orthonormal basis: the (M + 1) x d^2 rows
     (A_cell, G_cell) of the flattened A_m and G_m (_disc_stage), or the d x d
     A_0 alone when M = 0.  F holds the basis on the cell's strip rule as
-    (re, im) rows, vs the rule's weights doubled (the mirror half) and repeated
-    for each pair, and y the rule's heights (build_cell_strip_rules).  cols and
-    the operand buffer Xt are the h-list's (_strip_operand).
+    (re, im) rows, in the order of E's rows (below), vs the rule's weights
+    doubled (the mirror half) and repeated for each pair, and y the rule's
+    heights (build_cell_strip_rules).  Xt is the h-list's operand buffer.
 
     The strip enters as rows appended to a QR factorization (Golub and Van Loan,
     Matrix Computations, 6.5): the rows of F scaled by sqrt(2 w), stacked on I.
@@ -330,7 +316,8 @@ def _cell_moments(
     I + S itself is never formed: its condition number reaches 9e11 (R0 0.26,
     K 24, h 0.1), where bands from its Cholesky factor are off by 3e-9.  The
     strip adds nothing to A_m, and its G_m sum T_m(y / Y) times one d x d
-    product per row of nodes of one height y.
+    product per row of nodes of one height y, of the operand's scaled strip
+    rows moved by R^-1.
 
     The order of the QR matters.  Outside the disc, E grows with K and with the
     strip's length 1/2 - R0 (to 7e7 at R0 0.2501, K 24), and Householder QR
@@ -338,35 +325,36 @@ def _cell_moments(
     when they come first: the bands were then off by 8.5e-12 at R0 0.2501, K 24,
     eta 0, h 0.1.  Householder QR is row-wise stable with the rows sorted by
     decreasing size and column pivoting (Powell and Reid; Cox and Higham), so
-    the strip rows go on top and the columns are taken in decreasing strip
-    norm, a static form of that pivoting; the case above is then within 5e-14 of
-    a high-precision solve.  The order is taken once per h-list, on its first
-    and widest strip (_strip_operand), so a lone cell is factored in its own
-    order.  Over 24 h from 0.1 to 0.002 at R0 0.2501 (K 10 and 24), 0.35 and
-    0.49, a later strip's own order differs from the first's by at most one
-    swap of two adjacent columns whose norms are within 0.2%, so the heavy
-    columns still come first.  Against a basis orthonormalized on the whole
-    cell the bands agree to 1e-12 up to K 24 for every R0, and on the longest
-    strip (R0 0.2501, eta 0) to 1e-11 at K 32 and 1e-9 at K 40: the rounding of
-    E on the strip (3e12) and of the QR that scales it back costs digits there.
+    the strip rows go on top and the heavy columns come first, a static form of
+    that pivoting.  Where E is large on the strip, its columns grow there with
+    the |k| of their modes (their strip norms at R0 0.2501, K 24, h 0.1 run
+    from 0.7 at k 0 to 3e6 at |k| 24), so the columns are taken in decreasing
+    |k|: the reverse of the order in which build_basis creates them (k = 0,
+    +1, -1, ..., +K, -K).  That is the order of the rows of E (_disc_stage)
+    and of F (band_structures), so every cell is factored alike, alone or in
+    any h-list.  The case above is then within 1e-14 of a basis
+    orthonormalized on the whole cell, itself within 5e-14 of a high-precision
+    solve; in creation order the bands on that strip were off by 3.6e-11 at
+    K 32.  Against that basis the bands agree to 1e-12 up to K 24 for every
+    R0, and on the longest strip (R0 0.2501, eta 0) to 1e-11 at K 32 and 1e-9
+    at K 40: the rounding of E on the strip (3e12) and of the QR that scales it
+    back costs digits there.
 
-    The operand is the matrix [F^T diag(sqrt(vs)); I] with its columns in the
-    order cols, held as its transpose Xt: the cell gathers its scaled rows of F
-    into the first n columns of Xt, and the identity block stays where
-    _strip_operand placed it.  Xt.T is then column-major, the layout LAPACK
-    factors, so numpy hands it over with a plain copy.
+    The operand is the matrix [F^T diag(sqrt(vs)); I], held as its transpose
+    Xt, d x (n + d) for n entries per row of F: the cell writes its scaled rows
+    of F into the first n columns, and the identity block in the last d stays
+    where band_structures placed it, once per h-list.  Xt.T is then
+    column-major, the layout LAPACK factors, so numpy hands it over with a
+    plain copy.
     """
     d, M = stage.basis.dim_eff, stage.M
-    n = F.shape[1]
-    np.multiply(F[cols], np.sqrt(vs), out=Xt[:, :n])
-    R = np.linalg.qr(Xt.T, mode="r")
-    # R is triangular in the permuted columns, so the inverse of the factor
-    # in the original columns is R^-1 with its rows unpermuted
-    R_inv = np.linalg.inv(R)[np.argsort(cols)]
+    Fs = Xt[:, : F.shape[1]]
+    np.multiply(F, np.sqrt(vs), out=Fs)
+    R_inv = np.linalg.inv(np.linalg.qr(Xt.T, mode="r"))
     if M == 0:
         return R_inv.T @ stage.moments @ R_inv
-    Fr = (R_inv.T @ F).reshape(d, y.size, -1).transpose(1, 0, 2)
-    per_row = (Fr * vs.reshape(y.size, 1, -1)) @ Fr.transpose(0, 2, 1)
+    Fr = (R_inv.T @ Fs).reshape(d, y.size, -1).transpose(1, 0, 2)
+    per_row = Fr @ Fr.transpose(0, 2, 1)
     T = chebvander(y / stage.Y, M).T
     A_cell, G_cell = (R_inv.T @ stage.moments @ R_inv).reshape(2, M + 1, d * d)
     G_cell += T @ per_row.reshape(y.size, d * d)
@@ -399,10 +387,9 @@ def band_structures(
     call, each cell taking its block of the result.  A call replays the basis
     recurrence in d sequential steps, whose fixed cost outweighs the arithmetic
     on one strip, and the batch bounds a step's work on a long h-list.  The QR
-    updates of every cell share one column order and one operand buffer, taken
-    on the first strip (_strip_operand), so a lone cell factors with its own
-    order.  A cell's QR update and fiber solves wait until it is asked for, so
-    a caller that stops early builds and solves no more batches and cells.
+    updates of every cell share one operand buffer (_cell_moments).  A cell's
+    QR update and fiber solves wait until it is asked for, so a caller that
+    stops early builds and solves no more batches and cells.
 
     The cell quadrature orders n_r, n_t and n_strip default to None, which
     derives them from K_modes and R0 (_quadrature_orders): a fixed rule would
@@ -433,18 +420,20 @@ def band_structures(
         nodes, weights = build_cell_strip_rules(cut, n_strip)
         if stage is None:  # Y is taken over the disc and the first, widest, strip
             stage = _disc_stage(first, profile, folded, K_modes, n_r, n_t, nodes[0])
+            d = stage.basis.dim_eff
+            # every cell's QR operand (_cell_moments), its identity block placed once
+            Xt = np.hstack([np.zeros((d, 2 * nodes.shape[1])), np.eye(d)])
         vs = np.repeat(2.0 * weights, 2, axis=1)
-        # the basis on the batch's strips, (re, im) pairs as rows; cell i takes block i
-        F = stage.basis.evaluate(nodes).T.view(float).reshape(stage.basis.dim_eff, len(cut), -1)
-        if start == 0:
-            cols, Xt = _strip_operand(F[:, 0], vs[0])
+        # the basis on the batch's strips, (re, im) pairs as rows in decreasing
+        # |k| (_cell_moments); cell i takes block i
+        F = stage.basis.evaluate(nodes).T.view(float)[::-1].reshape(d, len(cut), -1)
         for i in range(len(cut)):
-            moments = _cell_moments(stage, cols, Xt, F[:, i], vs[i], nodes[i].imag[::n_strip])
+            moments = _cell_moments(stage, Xt, F[:, i], vs[i], nodes[i].imag[::n_strip])
             if stage.M == 0:  # G = I: every fiber is A_0 in the cell-orthonormal basis
                 lambdas = np.tile(_band_eigenvalues(moments[None], N_keep), (folded.size, 1))
             else:
                 lambdas = _fiber_bands(stage.c, *moments, N_keep)
-            yield BandStructure(etas=etas, lambdas=lambdas[fiber], dim_eff=stage.basis.dim_eff)
+            yield BandStructure(etas=etas, lambdas=lambdas[fiber], dim_eff=d)
 
 
 def compute_bands(

@@ -85,7 +85,7 @@ def cmd_synth(args) -> int:
 
 def cmd_disc_spec(args) -> int:
     if args.profile:
-        profile, _ = profile_from_json(Path(args.profile).read_text())
+        profile = profile_from_json(Path(args.profile).read_text())
     else:
         profile = synthesize_profile(_parse_floats(args.targets))
     spec = compute_disc_spectrum(profile, N_kept=args.n)

@@ -175,12 +175,12 @@ def build_basis(
 
     step = {s: np.exp(1j * s * 2.0 * np.pi * z) for s in (+1, -1)}
     head = {+1: 0, -1: 0}  # row of the last accepted column per chain
-    for k in range(1, K_modes + 1):
+    for _ in range(K_modes):  # the candidates of k = 1..K_modes
         live = [s for s in (+1, -1) if head[s] >= 0]
         if not live:
             break  # both chains terminated
         # the live candidates, the +1 chain first, as rows m0, m0 + 1 of R: at
-        # most 2k - 1 of the 2K + 1 rows are filled, so both are free
+        # step k at most 2k - 1 of the 2K + 1 rows are filled, so both are free
         m0 = m
         C = R[m0 : m0 + len(live)]
         for i, s in enumerate(live):

@@ -203,18 +203,19 @@ def _json_float(name: str, value) -> float:
     return float(value)
 
 
-def profile_from_json(text: str) -> tuple[RadialProfile, float]:
-    """Profile and disc radius from the document of ``profile_to_json``; any
-    malformed document raises ValueError naming the field."""
+def profile_from_json(text: str) -> RadialProfile:
+    """The profile of a ``profile_to_json`` document, from its own fields
+    (coeffs, constant_term, support); other keys, such as the R0 that
+    ``profile_to_json`` writes, are ignored.  A malformed field raises
+    ValueError naming it."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"profile must be a JSON object, got {type(doc).__name__}")
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list):
         raise ValueError(f"profile field coeffs must be a list of numbers, got {coeffs!r}")
-    profile = RadialProfile(
+    return RadialProfile(
         coeffs=tuple(_json_float("coeffs", c) for c in coeffs),
         constant_term=_json_float("constant_term", doc.get("constant_term", 0.0)),
         support=_json_float("support", doc.get("support", 0.5)),
     )
-    return profile, _json_float("R0", doc.get("R0"))

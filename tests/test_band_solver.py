@@ -226,9 +226,8 @@ def _reference_bands(cell, profile, eta, K, N_keep):
 
 class TestBandStructures:
     @staticmethod
-    def _worst_error(profile, R0, K, grid, checked):
-        """Largest band distance to the full-cell reference over three h."""
-        hs = (0.1, 0.02, 0.002)
+    def _worst_error(profile, R0, K, grid, checked, hs=(0.1, 0.02, 0.002)):
+        """Largest band distance to the full-cell reference over the h of hs."""
         cells = [CellGeometry(R0=R0, h=h) for h in hs]
         worst = 0.0
         for cell, bands in zip(cells, band_structures(cells, profile, grid, K_modes=K)):
@@ -273,6 +272,12 @@ class TestBandStructures:
         # rows on top was off by 8.5e-12 at K 24 and 2.5e-8 at K 40.
         profile = synthesize_profile(list(targets))
         assert self._worst_error(profile, 0.2501, K, [0.0], (0,)) <= bound
+
+    @pytest.mark.parametrize("R0", [0.3, 0.42])
+    def test_high_K_away_from_the_longest_strip(self, k3_profile, R0):
+        # the column order of the QR update at K 40 where the strip is shorter:
+        # both it and an order by decreasing strip norm are within 1.1e-13
+        assert self._worst_error(k3_profile, R0, 40, [0.0], (0,), hs=(0.1, 0.002)) <= 1e-12
 
     def test_one_basis_for_every_cell(self, count_calls, k3_profile):
         bases = count_calls(band_solver, "build_basis")
@@ -325,24 +330,21 @@ class TestBandStructures:
     )
     @pytest.mark.parametrize(
         "R0, K, bound",
-        [(0.35, 10, 1e-13), (0.2501, 10, 1e-13), (0.2501, 24, 1e-12)],
+        [(0.35, 10, 0.0), (0.2501, 10, 0.0), (0.2501, 24, 1e-12)],
         ids=["0.35", "0.2501", "0.2501-K24"],
     )
     def test_pass_matches_single_cells(self, k3_profile, R0, K, bound, grid):
         # one pass over an h-list gives each cell the bands of that cell alone.
-        # The pass factors every cell in the column order of the first strip,
-        # a cell alone in its own, and the two differ most on the longest
-        # strip at the largest K.  The first cell is factored in its own
-        # order, so its bands are bitwise those of the cell alone wherever
+        # Every cell is factored in the same column order, alone or in a
+        # pass, so its bands are bitwise those of the cell alone wherever
         # TwistedBasis.evaluate gives the same values on the pass's strips as
-        # on the first strip alone: at K 10, not at K 24 (d 49), where the
-        # values differ by 3e-18 relative to their maximum
+        # on each strip alone: at K 10, not at K 24 (d 49), where the values
+        # differ by 3e-18 relative to their maximum
         cells = [CellGeometry(R0=R0, h=h) for h in (0.1, 0.05, 0.02, 0.005)]
-        for i, (cell, bands) in enumerate(zip(cells, band_structures(cells, k3_profile, grid, K))):
+        for cell, bands in zip(cells, band_structures(cells, k3_profile, grid, K)):
             alone = compute_bands(cell, k3_profile, grid, K)
             assert bands.dim_eff == alone.dim_eff
-            exact = i == 0 and K == 10
-            assert np.max(np.abs(bands.lambdas - alone.lambdas)) <= (0.0 if exact else bound)
+            assert np.max(np.abs(bands.lambdas - alone.lambdas)) <= bound
 
     def test_no_cells_no_bands(self, k3_profile):
         assert list(band_structures([], k3_profile, [0.0])) == []
@@ -358,12 +360,14 @@ class TestBandStructures:
         folded, _ = band_solver._fold(np.linspace(-np.pi, np.pi, 65))
         strip = build_cell_strip_quadrature(cell, n_strip)
         stage = band_solver._disc_stage(cell, k3_profile, folded, 10, n_r, n_t, strip.nodes)
-        F = stage.basis.evaluate(strip.nodes).T.view(float)
+        # the strip rows in the order of the disc moments, and the operand
+        # with its identity block, as band_structures forms them
+        F = stage.basis.evaluate(strip.nodes).T.view(float)[::-1]
         vs = np.repeat(2.0 * strip.weights, 2)
-        cols, Xt = band_solver._strip_operand(F, vs)
-        y = strip.nodes.imag[::n_strip]
-        _, G_cell = band_solver._cell_moments(stage, cols, Xt, F, vs, y)
         d = stage.basis.dim_eff
+        Xt = np.hstack([np.zeros_like(F), np.eye(d)])
+        y = strip.nodes.imag[::n_strip]
+        _, G_cell = band_solver._cell_moments(stage, Xt, F, vs, y)
         assert stage.M > 0
         assert np.max(np.abs(G_cell[0].reshape(d, d) - np.eye(d))) <= 1e-13
 

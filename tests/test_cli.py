@@ -102,6 +102,20 @@ class TestDiscSpec:
         _, rows = read_csv(out)
         assert float(rows[1][1]) == pytest.approx(0.1, abs=1e-10)
 
+    def test_profile_without_cell_radius(self, tmp_path):
+        # the disc spectrum needs the profile only: a document without the R0
+        # that synth writes gives the same CSV
+        prof = tmp_path / "p.json"
+        main(["synth", "--targets", "0.3,0.2,0.1", "--out", str(prof)])
+        doc = json.loads(prof.read_text())
+        del doc["R0"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc))
+        outs = [tmp_path / "with.csv", tmp_path / "without.csv"]
+        for path, out in zip((prof, bare), outs):
+            assert main(["disc-spec", "--profile", str(path), "--out", str(out)]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize(
         "doc, field",
         [

@@ -194,11 +194,8 @@ class TestSerialization:
         text = profile_to_json(k3_profile, R0=0.35)
         doc = json.loads(text)
         assert doc["R0"] == 0.35
-        back, R0 = profile_from_json(text)
-        assert back == k3_profile
-        assert R0 == 0.35
+        assert profile_from_json(text) == k3_profile
 
     def test_unit_profile_round_trip(self):
         text = profile_to_json(RadialProfile.unit(), R0=0.3)
-        back, _ = profile_from_json(text)
-        assert back == RadialProfile.unit()
+        assert profile_from_json(text) == RadialProfile.unit()
