@@ -227,7 +227,6 @@ class _DiscStage(NamedTuple):
     """What band_structures forms once for all its cells (_disc_stage)."""
 
     basis: TwistedBasis  # E, orthonormal on the disc rule at eta0
-    Y: float  # x = Im z / Y lies in [-1, 1] on every cell
     M: int  # degree of the Chebyshev series of the twist weight
     c: np.ndarray | None  # c[i, m] of folded fiber i; None when M = 0
     moments: np.ndarray  # A_0..A_M, G_0..G_M of the disc, or A_0 alone when M = 0
@@ -235,29 +234,30 @@ class _DiscStage(NamedTuple):
 
 def _disc_stage(
     cell: CellGeometry, profile: RadialProfile, folded: np.ndarray, K_modes: int,
-    n_r: int, n_t: int, strip_nodes: np.ndarray,
+    n_r: int, n_t: int,
 ) -> _DiscStage:
     """Everything of band_structures that does not depend on h: the disc rule
     (geometry.build_cell_disc_quadrature), the symbol b (zero on the strip), and
     the basis E, orthonormalized on the disc once (build_basis, "Vandermonde
     with Arnoldi") at the middle eta0 of the folded range, with its moments.
-    strip_nodes are the strip nodes of the first, widest, cell.
 
     The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the eta-fiber
     space, so each fiber is A x = lambda G x with the d x d matrices
     G = Q0^H diag(w t) Q0 and A = Q0^H diag(w b t) Q0 in the cell-orthonormal
-    basis Q0, where t = |e^{i (eta - eta0) z}|^2 = e^{s x}, x = Im z / Y,
-    Y = max |Im z| over the disc and the widest strip, s = -2 (eta - eta0) Y.
-    e^{s x} is entire in x, and its Chebyshev series sum_m c_m(s) T_m(x)
-    converges superexponentially (c_m = 2 I_m(s) for m >= 1), so
-    G = sum_m c_m G_m and A = sum_m c_m A_m with the eta-independent moments
-    G_m = Q0^H diag(w T_m(x)) Q0 and A_m = Q0^H diag(w b T_m(x)) Q0, m = 0..M:
-    no fiber touches an n-node array.  M is the smallest degree with
-    2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S, S = max |s| over the folded grid: the
-    left side bounds the series tail, and e^-S keeps the error at rounding
-    level against the smallest eigenvalue of G, at least e^-|s|.  The folded
-    range lies in [0, pi] and eta0 is its middle, so R0 < 1/2 gives S < pi/2
-    and M <= 17 (15 on linspace(-pi, pi, 65) at R0 0.35).  The c_m interpolate
+    basis Q0, where t = |e^{i (eta - eta0) z}|^2 = e^{s x}, x = Im z / R0 and
+    s = -2 (eta - eta0) R0: x lies in [-1, 1] on every cell of one R0 (its disc
+    has radius R0, its strip half-width h < R0), so x, s, M and c hold on any
+    strip, in any order.  e^{s x} is entire in x, and its Chebyshev series
+    sum_m c_m(s) T_m(x) converges superexponentially (c_m = 2 I_m(s) for
+    m >= 1), so G = sum_m c_m G_m and A = sum_m c_m A_m with the
+    eta-independent moments G_m = Q0^H diag(w T_m(x)) Q0 and
+    A_m = Q0^H diag(w b T_m(x)) Q0, m = 0..M: no fiber touches an n-node array.
+    M is the smallest degree with 2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S,
+    S = max |s| over the folded grid: the left side bounds the series tail,
+    and e^-S keeps the error at rounding level against the smallest eigenvalue
+    of G, at least e^-|s|.  The folded range lies in [0, pi] and eta0 is its
+    middle, so R0 < 1/2 gives S < pi/2 and M <= 17 (13, 15 and 17 on
+    linspace(-pi, pi, 65) at R0 0.2501, 0.35 and 0.49).  The c_m interpolate
     e^{s x} at numpy's Chebyshev points (chebpts1).  The disc moments are
     formed here in E; _cell_moments moves them to Q0.
 
@@ -269,9 +269,10 @@ def _disc_stage(
     takes those once per node (every other entry of mirror_half's v) and forms
     one Khatri-Rao column per node.
 
-    M = 0 (every s is 0: a grid that folds to eta0, or all-real nodes) needs no
-    expansion: G = I by orthonormality, and the stage holds A_0 = compress(v b, E^T),
-    with b repeated for each pair.
+    M = 0 exactly when the grid folds to one point (S is the folded range times
+    R0 > 1/4), which needs no expansion: G = I by orthonormality, and the stage
+    holds A_0 = compress(v b, E^T), b repeated for each pair, formed with the
+    columns in creation order, where BLAS takes its fast path.
     """
     disc = build_cell_disc_quadrature(cell.R0, n_r, n_t)
     n_half, v = mirror_half(disc)
@@ -283,18 +284,18 @@ def _disc_stage(
     # (_cell_moments): a view, since build_basis stores the columns of Q as
     # the rows of its buffer
     E = basis.Q[:n_half].T.view(float)[::-1]
-    Y = max(np.abs(z.imag).max(), np.abs(strip_nodes.imag).max())
-    s = -2.0 * (folded - eta0) * Y
+    s = -2.0 * (folded - eta0) * cell.R0
     M = _chebyshev_terms(float(np.abs(s).max()))
     if M == 0:
-        return _DiscStage(basis, Y, M, None, compress(v * np.repeat(b, 2), E.T))
+        A_0 = compress(v * np.repeat(b, 2), E[::-1].T)[::-1, ::-1]
+        return _DiscStage(basis, M, None, np.ascontiguousarray(A_0))
     # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
     # c_m = (2 - [m = 0]) / (M + 1) sum_j e^{s x_j} T_m(x_j)
     x_cheb = chebpts1(M + 1)
     c = np.exp(np.outer(s, x_cheb)) @ chebvander(x_cheb, M) * (2.0 / (M + 1))
     c[:, 0] *= 0.5
-    moments = _chebyshev_moments(E, v[::2], b, z.imag / Y, M)
-    return _DiscStage(basis, Y, M, c, moments.reshape(-1, basis.dim_eff, basis.dim_eff))
+    moments = _chebyshev_moments(E, v[::2], b, z.imag / cell.R0, M)
+    return _DiscStage(basis, M, c, moments.reshape(-1, basis.dim_eff, basis.dim_eff))
 
 
 def _cell_moments(
@@ -315,7 +316,7 @@ def _cell_moments(
     ||R^-1|| <= 1 since R^T R >= I, so the move never amplifies rounding.
     I + S itself is never formed: its condition number reaches 9e11 (R0 0.26,
     K 24, h 0.1), where bands from its Cholesky factor are off by 3e-9.  The
-    strip adds nothing to A_m, and its G_m sum T_m(y / Y) times one d x d
+    strip adds nothing to A_m, and its G_m sum T_m(y / R0) times one d x d
     product per row of nodes of one height y, of the operand's scaled strip
     rows moved by R^-1.
 
@@ -355,7 +356,7 @@ def _cell_moments(
         return R_inv.T @ stage.moments @ R_inv
     Fr = (R_inv.T @ Fs).reshape(d, y.size, -1).transpose(1, 0, 2)
     per_row = Fr @ Fr.transpose(0, 2, 1)
-    T = chebvander(y / stage.Y, M).T
+    T = chebvander(y / stage.basis.cell.R0, M).T
     A_cell, G_cell = (R_inv.T @ stage.moments @ R_inv).reshape(2, M + 1, d * d)
     G_cell += T @ per_row.reshape(y.size, d * d)
     return A_cell, G_cell
@@ -373,13 +374,12 @@ def band_structures(
 ) -> Iterator[BandStructure]:
     """Band structures over an eta grid, one per cell, from one disc stage.
 
-    The cells share R0 and differ only in the ligament: each h after the first
-    must be at most the first (ValueError, raised by the first next() before any
-    band work, wherever the offending cell is in the list).  What does not
-    depend on h is formed once (_disc_stage); each cell adds its strip
-    (_cell_moments) and solves its fibers (_fiber_bands).  Each distinct |eta|
-    is solved once (_fold), and the rows of the caller's grid, in its order, are
-    copies.
+    The cells share R0 (ValueError, raised by the first next() before any band
+    work, wherever the offending cell is in the list) and may come in any
+    order.  What does not depend on h is formed once (_disc_stage); each cell
+    adds its strip (_cell_moments) and solves its fibers (_fiber_bands), so it
+    gets the bands it gets alone.  Each distinct |eta| is solved once (_fold),
+    and the rows of the caller's grid, in its order, are copies.
 
     The cells are taken _STRIP_BATCH at a time, when the batch's first cell is
     asked for: the batch's strip rules are built then, in one vectorized pass
@@ -407,30 +407,28 @@ def band_structures(
         return
     first = cells[0]
     for cell in cells:
-        if cell.R0 != first.R0 or cell.h > first.h:
-            raise ValueError(f"every cell must have R0={first.R0} and h <= {first.h}, got {cell}")
+        if cell.R0 != first.R0:
+            raise ValueError(f"every cell must have R0={first.R0}, got {cell}")
     n_r, n_t, n_strip = (
         given if given is not None else derived
         for given, derived in zip((n_r, n_t, n_strip), _quadrature_orders(K_modes, first.R0))
     )
     folded, fiber = _fold(etas)
-    stage = None
+    stage = _disc_stage(first, profile, folded, K_modes, n_r, n_t)
+    d = stage.basis.dim_eff
+    # every cell's QR operand (_cell_moments), its identity block placed once
+    Xt = np.hstack([np.zeros((d, 2 * n_strip**2)), np.eye(d)])
     for start in range(0, len(cells), _STRIP_BATCH):
         cut = cells[start : start + _STRIP_BATCH]
         nodes, weights = build_cell_strip_rules(cut, n_strip)
-        if stage is None:  # Y is taken over the disc and the first, widest, strip
-            stage = _disc_stage(first, profile, folded, K_modes, n_r, n_t, nodes[0])
-            d = stage.basis.dim_eff
-            # every cell's QR operand (_cell_moments), its identity block placed once
-            Xt = np.hstack([np.zeros((d, 2 * nodes.shape[1])), np.eye(d)])
         vs = np.repeat(2.0 * weights, 2, axis=1)
         # the basis on the batch's strips, (re, im) pairs as rows in decreasing
         # |k| (_cell_moments); cell i takes block i
         F = stage.basis.evaluate(nodes).T.view(float)[::-1].reshape(d, len(cut), -1)
         for i in range(len(cut)):
             moments = _cell_moments(stage, Xt, F[:, i], vs[i], nodes[i].imag[::n_strip])
-            if stage.M == 0:  # G = I: every fiber is A_0 in the cell-orthonormal basis
-                lambdas = np.tile(_band_eigenvalues(moments[None], N_keep), (folded.size, 1))
+            if stage.M == 0:  # one fiber, eta0, where G = I: A_0 in the cell-orthonormal basis
+                lambdas = _band_eigenvalues(moments[None], N_keep)
             else:
                 lambdas = _fiber_bands(stage.c, *moments, N_keep)
             yield BandStructure(etas=etas, lambdas=lambdas[fiber], dim_eff=d)

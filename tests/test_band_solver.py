@@ -9,7 +9,6 @@ from bergband import band_solver
 from bergband.geometry import (
     CellGeometry,
     build_cell_quadrature,
-    build_cell_strip_quadrature,
     compress,
 )
 from bergband.pipeline import RunConfig
@@ -169,15 +168,18 @@ class TestComputeBands:
     def test_real_nodes_untwisted(self, k3_profile):
         # n_t = 2 (angles 0 and pi) and n_strip = 1 put every node on the
         # real axis, where the twist weight is 1 for every eta: each fiber
-        # is the eta0 fiber.
+        # is the eta0 fiber.  The grid does not fold to one point, so the
+        # twist is expanded (M >= 1) and the fibers agree to rounding only.
         cell = CellGeometry(R0=0.35, h=0.05)
+        rule = dict(K_modes=2, N_keep=3, n_r=4, n_t=2, n_strip=1)
+        folded, _ = band_solver._fold(np.array([-1.0, 0.0, 1.0]))
+        assert band_solver._disc_stage(cell, k3_profile, folded, 2, 4, 2).M >= 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bands = compute_bands(
-                cell, k3_profile, [-1.0, 0.0, 1.0], K_modes=2, N_keep=3,
-                n_r=4, n_t=2, n_strip=1,
-            )
-        assert np.all(bands.lambdas == bands.lambdas[1])
+            bands = compute_bands(cell, k3_profile, [-1.0, 0.0, 1.0], **rule)
+            at_eta0 = compute_bands(cell, k3_profile, [0.5], **rule).lambdas[0]
+        err = np.max(np.abs(bands.lambdas - at_eta0))
+        assert err <= 1e-15 * np.max(np.abs(at_eta0))
 
     @pytest.mark.parametrize("K, R0", [(14, 0.35), (10, 0.45)])
     def test_default_quadrature_resolves_basis(self, k3_profile, K, R0):
@@ -308,21 +310,19 @@ class TestBandStructures:
         assert len(evaluations) == 1
         assert _fibers_solved(solves) == 66
 
-    @pytest.mark.parametrize(
-        "bad", [CellGeometry(R0=0.3, h=0.05), CellGeometry(R0=0.35, h=0.1)],
-        ids=["other-R0", "wider"],
-    )
+    @pytest.mark.parametrize("bad", [CellGeometry(R0=0.3, h=0.05)], ids=["other-R0"])
     def test_cells_share_the_disc_and_narrow(self, monkeypatch, k3_profile, bad):
-        # the disc stage belongs to one R0, and Y bounds |Im z| on the first
-        # strip only; every cell is checked before the disc stage, so a bad
-        # one anywhere in the list stops the first next() before any basis
+        # the disc stage belongs to one R0; every cell is checked before the
+        # disc stage, so a bad one anywhere in the list stops the first next()
+        # before any basis.  The h may come in any order (a wider cell after a
+        # narrower one is accepted: test_pass_matches_single_cells)
         def forbidden(*args, **kwargs):
             raise AssertionError("no band work before every cell is checked")
 
         monkeypatch.setattr(band_solver, "build_basis", forbidden)
         cells = [CellGeometry(R0=0.35, h=0.05), CellGeometry(R0=0.35, h=0.02), bad]
         steps = band_structures(cells, k3_profile, [0.0])
-        with pytest.raises(ValueError, match="R0=0.35 and h <= 0.05"):
+        with pytest.raises(ValueError, match=r"every cell must have R0=0.35, got"):
             next(steps)
 
     @pytest.mark.parametrize(
@@ -339,37 +339,54 @@ class TestBandStructures:
         # pass, so its bands are bitwise those of the cell alone wherever
         # TwistedBasis.evaluate gives the same values on the pass's strips as
         # on each strip alone: at K 10, not at K 24 (d 49), where the values
-        # differ by 3e-18 relative to their maximum
-        cells = [CellGeometry(R0=R0, h=h) for h in (0.1, 0.05, 0.02, 0.005)]
-        for cell, bands in zip(cells, band_structures(cells, k3_profile, grid, K)):
-            alone = compute_bands(cell, k3_profile, grid, K)
-            assert bands.dim_eff == alone.dim_eff
-            assert np.max(np.abs(bands.lambdas - alone.lambdas)) <= bound
+        # differ by 3e-18 relative to their maximum.  The h may come in any
+        # order: the twist is bounded by R0, not by the first strip
+        for hs in [(0.1, 0.05, 0.02, 0.005), (0.02, 0.1, 0.005, 0.05)]:
+            cells = [CellGeometry(R0=R0, h=h) for h in hs]
+            for cell, bands in zip(cells, band_structures(cells, k3_profile, grid, K)):
+                alone = compute_bands(cell, k3_profile, grid, K)
+                assert bands.dim_eff == alone.dim_eff
+                assert np.max(np.abs(bands.lambdas - alone.lambdas)) <= bound
 
     def test_no_cells_no_bands(self, k3_profile):
         assert list(band_structures([], k3_profile, [0.0])) == []
 
     @pytest.mark.parametrize("h", [0.1, 0.002])
     @pytest.mark.parametrize("R0", [0.2501, 0.35, 0.49])
-    def test_cell_gram_is_identity(self, k3_profile, R0, h):
+    def test_cell_gram_is_identity(self, count_calls, k3_profile, R0, h):
         # G_0 = Q0^H diag(w) Q0 is the Gram matrix on the whole cell of the
         # basis the strip's QR update makes orthonormal; the worst defect,
-        # 3.4e-14, is on the longest strip (R0 0.2501, h 0.1)
+        # 3.3e-14, is on the longest strip (R0 0.2501, h 0.1)
+        calls = count_calls(band_solver, "_fiber_bands")
         cell = CellGeometry(R0=R0, h=h)
-        n_r, n_t, n_strip = band_solver._quadrature_orders(10, R0)
-        folded, _ = band_solver._fold(np.linspace(-np.pi, np.pi, 65))
-        strip = build_cell_strip_quadrature(cell, n_strip)
-        stage = band_solver._disc_stage(cell, k3_profile, folded, 10, n_r, n_t, strip.nodes)
-        # the strip rows in the order of the disc moments, and the operand
-        # with its identity block, as band_structures forms them
-        F = stage.basis.evaluate(strip.nodes).T.view(float)[::-1]
-        vs = np.repeat(2.0 * strip.weights, 2)
-        d = stage.basis.dim_eff
-        Xt = np.hstack([np.zeros_like(F), np.eye(d)])
-        y = strip.nodes.imag[::n_strip]
-        _, G_cell = band_solver._cell_moments(stage, Xt, F, vs, y)
-        assert stage.M > 0
+        bands = compute_bands(cell, k3_profile, np.linspace(-np.pi, np.pi, 65))
+        (_, _, G_cell, _), = calls
+        d = bands.dim_eff
         assert np.max(np.abs(G_cell[0].reshape(d, d) - np.eye(d))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "R0, grid, M",
+        [
+            pytest.param(R0, np.linspace(-np.pi, np.pi, 65), M, id=f"folded-65-{R0}")
+            for R0, M in [(0.2501, 13), (0.35, 15), (0.49, 17), (0.4999, 17)]
+        ]
+        + [
+            pytest.param(0.35, [0.7], 0, id="single"),
+            pytest.param(0.35, [-0.7, 0.7], 0, id="pair"),
+            pytest.param(0.35, [0.0, 1e-3], 3, id="narrow"),
+        ],
+    )
+    def test_chebyshev_degree(self, k3_profile, R0, grid, M):
+        # M depends only on R0 and the folded grid, with no strip: the
+        # default grid folds to [0, pi], the widest range, so M <= 17 for
+        # every R0 < 1/2; M = 0 exactly when the grid folds to one point,
+        # since S is the folded range times R0 > 1/4
+        cell = CellGeometry(R0=R0, h=0.05)
+        n_r, n_t, _ = band_solver._quadrature_orders(10, R0)
+        folded, _ = band_solver._fold(np.asarray(grid, dtype=float))
+        stage = band_solver._disc_stage(cell, k3_profile, folded, 10, n_r, n_t)
+        assert stage.M == M
+        assert (stage.c is None) == (M == 0)
 
 
 def _reference_fiber_bands(c, A_cell, G_cell, N_keep):
