@@ -202,6 +202,33 @@ def _quadrature_orders(K_modes: int, R0: float) -> tuple[int, int, int]:
     return n_t // 2, n_t, -(-n_t // 3)
 
 
+def _strip_heights(K_modes: int, R0: float, h: float) -> int:
+    """Smallest n with 2 (A/2)^(2n) / (2n)! <= 2^-52 and rho^(-2n) <= 2^-52,
+    A = (4 pi K_modes + 2 pi) h and rho = R0/h + sqrt((R0/h)^2 - 1): the Gauss
+    heights in y over (-h, h) that a strip of half-width h needs.
+
+    Every strip moment is a y-integral over (-h, h) of a function analytic in
+    y, and an n-point Gauss rule of such a function errs by about the tail of
+    its Chebyshev series from degree 2n (Trefethen, "Is Gauss quadrature better
+    than Clenshaw-Curtis?", SIAM Rev. 50 (2008)).  The function has two parts.
+    The product of two columns, of exponential type 2 pi K_modes + eta0 each,
+    and the twist e^{-2 (eta - eta0) y}, with eta and eta0 in [0, pi], has
+    type at most A on the strip, whose tail the first bound takes.  The inner
+    x-integral from sqrt(R0^2 - y^2) to 1/2 has branch points at y = +-R0, on
+    the Bernstein ellipse of (-h, h) with parameter rho, whose decay the second
+    bound takes.  rho is taken in logs: R0/h overflows for h near the smallest
+    float.  At K_modes 10, R0 0.35 this asks for 21 heights at h 0.1, 15 at
+    0.05, 11 at 0.025, 6 at 0.002 and 1 at 1e-300.
+    """
+    half_type = (2.0 * math.pi * K_modes + math.pi) * h  # A / 2
+    log_rho = math.log(R0) - math.log(h) + math.log1p(math.sqrt(1.0 - (h / R0) * (h / R0)))
+    n, tail = 1, half_type * half_type  # tail = 2 (A/2)^(2n) / (2n)!
+    while tail > 2.0**-52 or 2 * n * log_rho < 52.0 * math.log(2.0):
+        n += 1
+        tail *= half_type * half_type / ((2 * n - 1) * (2 * n))
+    return n
+
+
 # A few ulp of pi: |eta_i + eta_{64-i}| reaches 4.4e-16 on linspace(-pi, pi, 65).
 _FOLD_TOL = 8.0 * np.finfo(float).eps * np.pi
 
@@ -344,7 +371,7 @@ def _cell_moments(
     The operand is the matrix [F^T diag(sqrt(vs)); I], held as its transpose
     Xt, d x (n + d) for n entries per row of F: the cell writes its scaled rows
     of F into the first n columns, and the identity block in the last d stays
-    where band_structures placed it, once per h-list.  Xt.T is then
+    where band_structures placed it, once per h-list and n.  Xt.T is then
     column-major, the layout LAPACK factors, so numpy hands it over with a
     plain copy.
     """
@@ -387,15 +414,19 @@ def band_structures(
     call, each cell taking its block of the result.  A call replays the basis
     recurrence in d sequential steps, whose fixed cost outweighs the arithmetic
     on one strip, and the batch bounds a step's work on a long h-list.  The QR
-    updates of every cell share one operand buffer (_cell_moments).  A cell's
-    QR update and fiber solves wait until it is asked for, so a caller that
-    stops early builds and solves no more batches and cells.
+    updates of the cells with one row count share one operand buffer
+    (_cell_moments).  A cell's QR update and fiber solves wait until it is
+    asked for, so a caller that stops early builds and solves no more batches
+    and cells.
 
     The cell quadrature orders n_r, n_t and n_strip default to None, which
     derives them from K_modes and R0 (_quadrature_orders): a fixed rule would
     integrate the products of high modes wrongly once K_modes or R0 grows.  An
     order given explicitly is used as given; n_t must be even, or the rule has
-    no mirror half (ValueError).
+    no mirror half (ValueError).  n_strip is the strip's Gauss order in x and
+    the cap on its heights in y: a cell of half-width h gets
+    min(n_strip, _strip_heights(K_modes, R0, h)) rows of n_strip nodes, so
+    fewer as h falls (16 at h 0.1 and 6 at h 0.002 for K_modes 10, R0 0.35).
     """
     etas = np.asarray(list(eta_grid), dtype=float)
     if etas.size == 0:
@@ -416,17 +447,26 @@ def band_structures(
     folded, fiber = _fold(etas)
     stage = _disc_stage(first, profile, folded, K_modes, n_r, n_t)
     d = stage.basis.dim_eff
-    # every cell's QR operand (_cell_moments), its identity block placed once
-    Xt = np.hstack([np.zeros((d, 2 * n_strip**2)), np.eye(d)])
+    # the QR operand of every cell with 2 n_strip n_y scaled strip entries per
+    # row (_cell_moments), by that count, its identity block placed once
+    operands: dict[int, np.ndarray] = {}
     for start in range(0, len(cells), _STRIP_BATCH):
         cut = cells[start : start + _STRIP_BATCH]
-        nodes, weights = build_cell_strip_rules(cut, n_strip)
-        vs = np.repeat(2.0 * weights, 2, axis=1)
+        heights = [min(n_strip, _strip_heights(K_modes, c.R0, c.h)) for c in cut]
+        nodes, weights = build_cell_strip_rules(cut, n_strip, heights=heights)
+        vs = np.repeat(2.0 * weights, 2)
         # the basis on the batch's strips, (re, im) pairs as rows in decreasing
-        # |k| (_cell_moments); cell i takes block i
-        F = stage.basis.evaluate(nodes).T.view(float)[::-1].reshape(d, len(cut), -1)
-        for i in range(len(cut)):
-            moments = _cell_moments(stage, Xt, F[:, i], vs[i], nodes[i].imag[::n_strip])
+        # |k| (_cell_moments); each cell takes its block of n_strip n_y nodes
+        F = stage.basis.evaluate(nodes).T.view(float)[::-1]
+        end = 0
+        for n_y in heights:
+            block = slice(end, end + n_strip * n_y)
+            end, n = block.stop, 2 * n_strip * n_y
+            if n not in operands:
+                operands[n] = np.hstack([np.zeros((d, n)), np.eye(d)])
+            pairs = slice(2 * block.start, 2 * block.stop)
+            y = nodes[block].imag[::n_strip]
+            moments = _cell_moments(stage, operands[n], F[:, pairs], vs[pairs], y)
             if stage.M == 0:  # one fiber, eta0, where G = I: A_0 in the cell-orthonormal basis
                 lambdas = _band_eigenvalues(moments[None], N_keep)
             else:
@@ -445,7 +485,9 @@ def compute_bands(
     n_strip: int | None = None,
 ) -> BandStructure:
     """Band structure of one cell over an eta grid: the one-cell case of
-    band_structures, which holds the method."""
+    band_structures, which holds the method.  n_strip is the strip rule's
+    Gauss order in x and the cap on its number of heights in y, which
+    band_structures derives from h."""
     return next(
         band_structures([cell], profile, eta_grid, K_modes, N_keep, n_r, n_t, n_strip)
     )

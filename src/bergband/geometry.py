@@ -105,7 +105,11 @@ def _gauss_segment(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule of order n mapped to [a, b].  The endpoints may
     be arrays: they broadcast against the nodes on the last axis, so
     columns a and b give one segment per row."""
-    x, w = _leggauss(n)
+    return _mapped_segment(a, b, *_leggauss(n))
+
+
+def _mapped_segment(a, b, x, w) -> tuple[np.ndarray, np.ndarray]:
+    """The rule (x, w) on [-1, 1] mapped to [a, b], elementwise."""
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -179,16 +183,19 @@ def build_cell_disc_quadrature(
 
 
 def build_cell_strip_rules(
-    cells: Sequence[CellGeometry], n_strip: int = 16
+    cells: Sequence[CellGeometry], n_strip: int = 16, heights: Sequence[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rules of ``build_cell_strip_quadrature`` for many cells in one
-    vectorized pass: nodes and weights of shape ``(len(cells), n_strip**2)``,
-    row i the rule of ``cells[i]``.  Every operation is elementwise, so each
-    row is bitwise the rule the cell gets on its own, in any cell order.
+    vectorized pass, each with its own number of heights: 1-D nodes and
+    weights holding the cells' rules one after another, cell i's rule
+    ``heights[i]`` rows of ``n_strip`` nodes (``heights`` defaults to
+    ``n_strip`` for every cell, the square rule).  Every operation is
+    elementwise, so each cell's block is bitwise the rule the cell gets on
+    its own at the same number of heights, in any cell order.
 
     The rule covers the right half (Re z > 0) of the strip part of
     ``build_cell_quadrature``: only ``{z in S_h : Re z > sqrt(R0^2 - (Im z)^2)}``,
-    so no area is counted twice with the disc.  For each of ``n_strip`` Gauss
+    so no area is counted twice with the disc.  For each of the Gauss
     heights ``y`` in ``(-h, h)`` a mapped Gauss rule of order ``n_strip``
     integrates ``Re z`` from the circle to the cell edge 1/2; the curved inner
     boundary is thus resolved exactly per line, with no meshing.  The nodes
@@ -197,22 +204,26 @@ def build_cell_strip_rules(
     """
     if n_strip < 1:
         raise ValueError(f"n_strip must be >= 1, got {n_strip}")
-    h = np.array([cell.h for cell in cells])[:, None]
-    # R0**2 squared in Python, as a cell's rule always was: numpy's square
-    # rounds differently for about one R0 in 1200
-    r2 = np.array([cell.R0**2 for cell in cells])[:, None]
-    y, wy = _gauss_segment(-h, h, n_strip)
-    x, wx = _gauss_segment(np.sqrt(r2 - y**2)[..., None], 0.5, n_strip)
-    nodes = x + 1j * y[..., None]
-    weights = wx * wy[..., None]
-    return nodes.reshape(len(cells), -1), weights.reshape(len(cells), -1)
+    heights = [n_strip] * len(cells) if heights is None else list(heights)
+    if min(heights, default=1) < 1:
+        raise ValueError(f"every cell needs at least one height, got {heights}")
+    # one entry per height row: its cell's h and R0**2 and its Gauss node on
+    # [-1, 1].  R0**2 is squared in Python, as a cell's rule always was:
+    # numpy's square rounds differently for about one R0 in 1200
+    h = np.repeat([cell.h for cell in cells], heights)
+    r2 = np.repeat([cell.R0**2 for cell in cells], heights)
+    rules = [_leggauss(n) for n in heights] or [(np.empty(0), np.empty(0))]
+    t, wt = (np.concatenate(part) for part in zip(*rules))
+    y, wy = _mapped_segment(-h, h, t, wt)
+    x, wx = _gauss_segment(np.sqrt(r2 - y**2)[:, None], 0.5, n_strip)
+    return (x + 1j * y[:, None]).ravel(), (wx * wy[:, None]).ravel()
 
 
 def build_cell_strip_quadrature(cell: CellGeometry, n_strip: int = 16) -> QuadratureRule:
     """The right half (Re z > 0) of the strip part of ``build_cell_quadrature``:
-    the one-cell case of ``build_cell_strip_rules``, which describes the rule."""
-    nodes, weights = build_cell_strip_rules([cell], n_strip)
-    return QuadratureRule(nodes[0], weights[0])
+    the one-cell case of ``build_cell_strip_rules``, which describes the rule,
+    at ``n_strip`` heights (``n_strip**2`` nodes)."""
+    return QuadratureRule(*build_cell_strip_rules([cell], n_strip))
 
 
 def build_cell_quadrature(

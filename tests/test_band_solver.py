@@ -261,19 +261,24 @@ class TestBandStructures:
         assert self._worst_error(k3_profile, R0, K, grid, checked) <= 1e-12
 
     @pytest.mark.parametrize(
-        "K, bound", [(24, 1e-12), (32, 1e-11), (40, 1e-9)], ids=["K24", "K32", "K40"]
+        "targets, K, bound, grid",
+        [
+            pytest.param(targets, K, bound, grid, id=f"{name}-K{K}{path}")
+            for grid, path in [([0.0], ""), ([0.0, 1.1, np.pi], "-twisted")]
+            for name, targets in [("k3", (0.3, 0.2, 0.1)), ("mixed-sign-targets", (0.3, -0.25, 0.12))]
+            for K, bound in [(24, 1e-12), (32, 1e-11), (40, 1e-9)]
+        ],
     )
-    @pytest.mark.parametrize(
-        "targets", [(0.3, 0.2, 0.1), (0.3, -0.25, 0.12)], ids=["k3", "mixed-sign-targets"]
-    )
-    def test_accuracy_on_the_longest_strip(self, targets, K, bound):
+    def test_accuracy_on_the_longest_strip(self, targets, K, bound, grid):
         # The stated bound: on the strip of R0 0.2501 the basis reaches 7e7
         # at K 24 and 3e12 at K 40, and beyond K 24 the split keeps fewer
         # digits than a basis orthonormalized on the whole cell (which stays
         # within 5e-14 of a high-precision solve there).  A QR with the unit
-        # rows on top was off by 8.5e-12 at K 24 and 2.5e-8 at K 40.
+        # rows on top was off by 8.5e-12 at K 24 and 2.5e-8 at K 40.  The
+        # twisted grid, the path of bergband run (M > 0), reads at most
+        # 1.0e-13, 7.5e-13 and 4.3e-11 at K 24, 32 and 40.
         profile = synthesize_profile(list(targets))
-        assert self._worst_error(profile, 0.2501, K, [0.0], (0,)) <= bound
+        assert self._worst_error(profile, 0.2501, K, grid, range(len(grid))) <= bound
 
     @pytest.mark.parametrize("R0", [0.3, 0.42])
     def test_high_K_away_from_the_longest_strip(self, k3_profile, R0):
@@ -284,12 +289,16 @@ class TestBandStructures:
     def test_one_basis_for_every_cell(self, count_calls, k3_profile):
         bases = count_calls(band_solver, "build_basis")
         evaluations = count_calls(TwistedBasis, "evaluate")
-        rows = h_convergence_study(k3_profile, np.geomspace(0.1, 0.002, 24), eta=0.3)
+        hs = np.geomspace(0.1, 0.002, 24)
+        rows = h_convergence_study(k3_profile, hs, eta=0.3)
         assert len(rows) == 24
         assert len(bases) == 1
-        # every strip of the 24 is evaluated in the one call
+        # every strip of the 24 is evaluated in the one call, each at its
+        # own heights: 246 of them, not 24 * 16
         assert len(evaluations) == 1
-        assert evaluations[0][1].size == 24 * 16 * 16
+        n_strip = band_solver._quadrature_orders(10, 0.35)[2]
+        heights = [min(n_strip, band_solver._strip_heights(10, 0.35, h)) for h in hs]
+        assert evaluations[0][1].size == n_strip * sum(heights)
 
     def test_lazy(self, count_calls, k3_profile):
         # every strip is built, in one batch, and evaluated at the first
@@ -387,6 +396,66 @@ class TestBandStructures:
         stage = band_solver._disc_stage(cell, k3_profile, folded, 10, n_r, n_t)
         assert stage.M == M
         assert (stage.c is None) == (M == 0)
+
+
+def _full_heights(monkeypatch):
+    """Give every strip n_strip heights, the square rule, in band_solver."""
+    monkeypatch.setattr(band_solver, "_strip_heights", lambda K_modes, R0, h: np.iinfo(int).max)
+
+
+class TestStripHeights:
+    @pytest.mark.parametrize("K", [0, 10, 24, 40])
+    @pytest.mark.parametrize("R0", [0.2501, 0.35, 0.49])
+    def test_heights_do_not_grow_as_h_falls(self, R0, K):
+        n_strip = band_solver._quadrature_orders(K, R0)[2]
+        hs = np.geomspace(0.1, 1e-300, 600)
+        heights = [min(n_strip, band_solver._strip_heights(K, R0, h)) for h in hs]
+        assert np.all(np.diff(heights) <= 0)
+        assert 1 <= heights[-1] and heights[0] <= n_strip
+
+    def test_scan_heights(self):
+        # the 24 h of the h-scan bench at K 10, R0 0.35: 246 heights, not 384
+        n_strip = band_solver._quadrature_orders(10, 0.35)[2]
+        hs = np.geomspace(0.1, 0.002, 24)
+        assert [min(n_strip, band_solver._strip_heights(10, 0.35, h)) for h in hs] == [
+            16, 16, 16, 16, 15, 14, 13, 12, 11, 11, 10, 10, 9, 9, 8, 8, 7, 7, 7, 7, 6, 6, 6, 6
+        ]
+        # the README's h-loop: 16, 15 and 11 heights at h 0.1, 0.05 and 0.025
+        assert [band_solver._strip_heights(10, 0.35, h) for h in (0.1, 0.05, 0.025)] == [21, 15, 11]
+
+    def test_capped_heights_are_the_square_rule(self, monkeypatch, k3_profile):
+        # at h 0.1 the bound asks for 21 heights, so the cap gives n_strip:
+        # the bands are bitwise those of the square rule
+        cell = CellGeometry(R0=0.35, h=0.1)
+        etas = np.linspace(-np.pi, np.pi, 65)
+        derived = compute_bands(cell, k3_profile, etas)
+        _full_heights(monkeypatch)
+        assert np.array_equal(derived.lambdas, compute_bands(cell, k3_profile, etas).lambdas)
+
+    @pytest.mark.parametrize(
+        "h",
+        [1e-300, 5e-324, np.float64(1e-300), np.float64(5e-324)],
+        ids=["1e-300", "5e-324", "float64-1e-300", "float64-5e-324"],
+    )
+    def test_heights_at_the_smallest_h(self, k3_profile, h):
+        # R0/h overflows there; the bound takes rho in logs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert band_solver._strip_heights(10, 0.35, h) == 1
+            bands = compute_bands(CellGeometry(R0=0.35, h=h), k3_profile, [0.0, 1.0])
+        assert np.all(np.isfinite(bands.lambdas))
+
+    @pytest.mark.parametrize("grid", [[1.1], np.linspace(-np.pi, np.pi, 65)], ids=["single", "folded-65"])
+    @pytest.mark.parametrize("K", [10, 24])
+    @pytest.mark.parametrize("R0", [0.2501, 0.35, 0.49])
+    def test_derived_heights_match_full_heights(self, monkeypatch, k3_profile, R0, K, grid):
+        # the quadrature change alone: the derived heights against n_strip
+        # heights on every strip; the worst is 1.8e-15 relative
+        cells = [CellGeometry(R0=R0, h=h) for h in (0.1, 0.02, 0.002)]
+        derived = [bands.lambdas for bands in band_structures(cells, k3_profile, grid, K)]
+        _full_heights(monkeypatch)
+        for lams, full in zip(derived, band_structures(cells, k3_profile, grid, K)):
+            assert np.max(np.abs(lams - full.lambdas)) <= 1e-13 * np.max(np.abs(full.lambdas))
 
 
 def _reference_fiber_bands(c, A_cell, G_cell, N_keep):

@@ -181,16 +181,41 @@ class TestCellQuadrature:
 
     @pytest.mark.parametrize("n_strip", [1, 3, 16])
     def test_strip_rules_are_the_one_cell_rules(self, n_strip):
-        # each row of a batch, whatever the order of its cells, is bitwise
+        # each block of a batch, whatever the order of its cells, is bitwise
         # the rule the cell gets on its own
         cells = [CellGeometry(R0=0.3, h=h) for h in (0.02, 0.1, 0.002, 0.05)]
         cells.append(CellGeometry(R0=0.49, h=0.07))
         nodes, weights = build_cell_strip_rules(cells, n_strip)
-        assert nodes.shape == weights.shape == (len(cells), n_strip**2)
-        for cell, z, w in zip(cells, nodes, weights):
+        assert nodes.shape == weights.shape == (len(cells) * n_strip**2,)
+        blocks = zip(nodes.reshape(len(cells), -1), weights.reshape(len(cells), -1))
+        for cell, (z, w) in zip(cells, blocks):
             alone = build_cell_strip_quadrature(cell, n_strip)
             assert np.array_equal(z.view(np.uint64), alone.nodes.view(np.uint64))
             assert np.array_equal(w.view(np.uint64), alone.weights.view(np.uint64))
+
+    def test_ragged_strip_rules_are_the_one_cell_rules(self):
+        # a batch of mixed h and heights: each cell's block is bitwise its
+        # one-cell rule at the same heights, in rows of n_strip nodes at one
+        # height each
+        n_strip = 7
+        cells = [CellGeometry(R0=0.3, h=h) for h in (0.02, 0.1, 0.002, 0.05)]
+        cells.append(CellGeometry(R0=0.49, h=0.07))
+        heights = [3, 7, 1, 5, 2]
+        nodes, weights = build_cell_strip_rules(cells, n_strip, heights=heights)
+        assert nodes.shape == weights.shape == (n_strip * sum(heights),)
+        ends = n_strip * np.cumsum(heights)
+        for cell, n_y, z, w in zip(
+            cells, heights, np.split(nodes, ends[:-1]), np.split(weights, ends[:-1])
+        ):
+            alone_z, alone_w = build_cell_strip_rules([cell], n_strip, heights=[n_y])
+            assert np.array_equal(z.view(np.uint64), alone_z.view(np.uint64))
+            assert np.array_equal(w.view(np.uint64), alone_w.view(np.uint64))
+            rows = z.imag.reshape(n_y, n_strip)
+            assert np.all(rows == rows[:, :1]) and np.all(np.diff(rows[:, 0]) > 0.0)
+
+    def test_strip_rules_reject_a_cell_without_heights(self):
+        with pytest.raises(ValueError, match="at least one height"):
+            build_cell_strip_rules([CellGeometry(R0=0.3, h=0.05)], 4, heights=[0])
 
     def test_small_h_limit(self):
         # As h -> 0 the cell area tends to the disc area plus the full strip.

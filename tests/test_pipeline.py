@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -194,9 +195,12 @@ class TestRunPrescribedSpectrum:
 
     def test_long_h_list_builds_one_batch_of_strips(self, count_calls):
         # a halving sequence of about 1000 h builds the strip rules of its
-        # first batch only, not of every h, before its first pass
+        # first batch only, not of every h, before its first pass, and raises
+        # no warning
         strips = count_calls(band_solver, "build_cell_strip_rules")
-        result = run_prescribed_spectrum(RunConfig(targets=(0.3, 0.2, 0.1), h_min=1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_prescribed_spectrum(RunConfig(targets=(0.3, 0.2, 0.1), h_min=1e-300))
         assert result.verdict and result.chosen_h == 0.05
         [(cells, _)] = strips
         assert len(cells) == band_solver._STRIP_BATCH
