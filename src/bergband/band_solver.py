@@ -325,18 +325,17 @@ def _disc_stage(
     return _DiscStage(basis, M, c, moments.reshape(-1, basis.dim_eff, basis.dim_eff))
 
 
-def _cell_moments(
-    stage: _DiscStage, Xt: np.ndarray, F: np.ndarray, vs: np.ndarray, y: np.ndarray
-):
+def _cell_moments(stage: _DiscStage, Xt: np.ndarray, F: np.ndarray, y: np.ndarray):
     """One cell's moments in its cell-orthonormal basis: the (M + 1) x d^2 rows
     (A_cell, G_cell) of the flattened A_m and G_m (_disc_stage), or the d x d
     A_0 alone when M = 0.  F holds the basis on the cell's strip rule as
-    (re, im) rows, in the order of E's rows (below), vs the rule's weights
-    doubled (the mirror half) and repeated for each pair, and y the rule's
-    heights (build_cell_strip_rules).  Xt is the h-list's operand buffer.
+    (re, im) rows, in the order of E's rows (below), each pair already scaled
+    by sqrt(2 w) of its node (w the rule's weight, doubled for the mirror
+    half; band_structures scales a batch at once), and y the rule's heights
+    (build_cell_strip_rules).  Xt is the h-list's operand buffer.
 
     The strip enters as rows appended to a QR factorization (Golub and Van Loan,
-    Matrix Computations, 6.5): the rows of F scaled by sqrt(2 w), stacked on I.
+    Matrix Computations, 6.5): the rows of F, stacked on I.
     Their R has R^T R = I + S, the cell Gram matrix of E, so E R^-1 is
     orthonormal on the cell: Q0 up to an orthogonal factor, which leaves the
     bands unchanged.  Every disc moment moves to it as R^-T X R^-1, and
@@ -368,16 +367,15 @@ def _cell_moments(
     at K 40: the rounding of E on the strip (3e12) and of the QR that scales it
     back costs digits there.
 
-    The operand is the matrix [F^T diag(sqrt(vs)); I], held as its transpose
-    Xt, d x (n + d) for n entries per row of F: the cell writes its scaled rows
-    of F into the first n columns, and the identity block in the last d stays
-    where band_structures placed it, once per h-list and n.  Xt.T is then
-    column-major, the layout LAPACK factors, so numpy hands it over with a
-    plain copy.
+    The operand is the matrix [F^T; I], held as its transpose Xt, d x (n + d)
+    for n entries per row of F: the cell copies F into the first n columns,
+    and the identity block in the last d stays where band_structures placed
+    it, once per h-list and n.  Xt.T is then column-major, the layout LAPACK
+    factors, so numpy hands it over with a plain copy.
     """
     d, M = stage.basis.dim_eff, stage.M
     Fs = Xt[:, : F.shape[1]]
-    np.multiply(F, np.sqrt(vs), out=Fs)
+    np.copyto(Fs, F)
     R_inv = np.linalg.inv(np.linalg.qr(Xt.T, mode="r"))
     if M == 0:
         return R_inv.T @ stage.moments @ R_inv
@@ -454,10 +452,11 @@ def band_structures(
         cut = cells[start : start + _STRIP_BATCH]
         heights = [min(n_strip, _strip_heights(K_modes, c.R0, c.h)) for c in cut]
         nodes, weights = build_cell_strip_rules(cut, n_strip, heights=heights)
-        vs = np.repeat(2.0 * weights, 2)
         # the basis on the batch's strips, (re, im) pairs as rows in decreasing
-        # |k| (_cell_moments); each cell takes its block of n_strip n_y nodes
+        # |k| (_cell_moments), scaled in place by sqrt(2 w) per node; each cell
+        # takes its block of n_strip n_y nodes
         F = stage.basis.evaluate(nodes).T.view(float)[::-1]
+        F *= np.repeat(np.sqrt(2.0 * weights), 2)
         end = 0
         for n_y in heights:
             block = slice(end, end + n_strip * n_y)
@@ -466,7 +465,7 @@ def band_structures(
                 operands[n] = np.hstack([np.zeros((d, n)), np.eye(d)])
             pairs = slice(2 * block.start, 2 * block.stop)
             y = nodes[block].imag[::n_strip]
-            moments = _cell_moments(stage, operands[n], F[:, pairs], vs[pairs], y)
+            moments = _cell_moments(stage, operands[n], F[:, pairs], y)
             if stage.M == 0:  # one fiber, eta0, where G = I: A_0 in the cell-orthonormal basis
                 lambdas = _band_eigenvalues(moments[None], N_keep)
             else:

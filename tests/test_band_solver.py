@@ -276,7 +276,7 @@ class TestBandStructures:
         # within 5e-14 of a high-precision solve there).  A QR with the unit
         # rows on top was off by 8.5e-12 at K 24 and 2.5e-8 at K 40.  The
         # twisted grid, the path of bergband run (M > 0), reads at most
-        # 1.0e-13, 7.5e-13 and 4.3e-11 at K 24, 32 and 40.
+        # 1.1e-13, 1.0e-12 and 4.6e-11 at K 24, 32 and 40.
         profile = synthesize_profile(list(targets))
         assert self._worst_error(profile, 0.2501, K, grid, range(len(grid))) <= bound
 
@@ -348,8 +348,8 @@ class TestBandStructures:
         # pass, so its bands are bitwise those of the cell alone wherever
         # TwistedBasis.evaluate gives the same values on the pass's strips as
         # on each strip alone: at K 10, not at K 24 (d 49), where the values
-        # differ by 3e-18 relative to their maximum.  The h may come in any
-        # order: the twist is bounded by R0, not by the first strip
+        # differ by up to 1e-15 relative to their maximum.  The h may come in
+        # any order: the twist is bounded by R0, not by the first strip
         for hs in [(0.1, 0.05, 0.02, 0.005), (0.02, 0.1, 0.005, 0.05)]:
             cells = [CellGeometry(R0=R0, h=h) for h in hs]
             for cell, bands in zip(cells, band_structures(cells, k3_profile, grid, K)):

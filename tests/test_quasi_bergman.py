@@ -1,8 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bergband import band_solver
-from bergband.geometry import CellGeometry, build_cell_quadrature, build_disc_quadrature, mirror_half
+from bergband.geometry import (
+    CellGeometry,
+    build_cell_disc_quadrature,
+    build_cell_quadrature,
+    build_cell_strip_rules,
+    build_disc_quadrature,
+    mirror_half,
+)
 from bergband.quasi_bergman import (
     CUTOFF,
     TwistedBasis,
@@ -17,7 +26,9 @@ from bergband.quasi_bergman import (
 def mgs_reference_basis(cell, eta, K_modes, quad):
     """build_basis written as per-pair, twice-iterated modified Gram-Schmidt:
     the same chains and cutoff rule, one inner product at a time, recording
-    its own summed projections so that its evaluate is an independent check."""
+    its own summed projections so that its evaluate is an independent check.
+    The projections are complex sums of mirror-symmetric columns, real up to
+    rounding, and are recorded as the real H that TwistedBasis documents."""
     z, w = quad.nodes, quad.weights
     n_max = 2 * K_modes + 1
 
@@ -53,15 +64,29 @@ def mgs_reference_basis(cell, eta, K_modes, quad):
             sign.append(s)
             head[s] = j
     d = len(cols)
+    assert np.max(np.abs(H.imag)) <= 1e-14 * np.max(np.abs(H))
     return TwistedBasis(
         eta=float(eta),
         Q=np.column_stack(cols),
-        H=H[:d, :d],
+        H=H[:d, :d].real.copy(),
         parent=np.array(parent),
         sign=np.array(sign),
         cell=cell,
         quad=quad,
     )
+
+
+def complex_replay(basis, z):
+    """TwistedBasis.evaluate's recurrence as its docstring writes it: both
+    steps from np.exp, every product complex."""
+    z = np.asarray(z, dtype=complex).ravel()
+    step = {s: np.exp(1j * s * 2.0 * np.pi * z) for s in (+1, -1)}
+    H = basis.H.astype(complex)
+    V = np.empty((basis.dim_eff, z.size), dtype=complex)
+    V[0] = np.exp(1j * basis.eta * z) / H[0, 0]
+    for j in range(1, basis.dim_eff):
+        V[j] = (step[basis.sign[j]] * V[basis.parent[j]] - H[j, :j] @ V[:j]) / H[j, j]
+    return V.T
 
 
 class TestRawMode:
@@ -122,6 +147,27 @@ class TestBuildBasis:
         basis = build_basis(cell_mid, -0.4, 6, quad_mid)
         vals = basis.evaluate(quad_mid.nodes)
         assert np.max(np.abs(vals - basis.Q)) <= 1e-13 * np.max(np.abs(basis.Q))
+
+    @pytest.mark.parametrize("R0", [0.2501, 0.35, 0.49])
+    @pytest.mark.parametrize("K", [10, 24, 32])
+    def test_evaluate_matches_complex_replay(self, rng, K, R0):
+        # the real in-place replay against the complex recurrence, on the disc
+        # basis band_structures builds (eta0 pi/2, the default grid's middle):
+        # on the strips of h 0.1 and 0.002, and off the grid up to |Im z| 0.45,
+        # where the columns are largest
+        n_r, n_t, n_strip = band_solver._quadrature_orders(K, R0)
+        cell = CellGeometry(R0=R0, h=0.1)
+        basis = build_basis(cell, np.pi / 2, K, build_cell_disc_quadrature(R0, n_r, n_t))
+        strips, _ = build_cell_strip_rules([cell, CellGeometry(R0=R0, h=0.002)], n_strip)
+        off_grid = rng.uniform(-0.5, 0.5, 300) + 1j * rng.uniform(-0.45, 0.45, 300)
+        for z in (strips, off_grid):
+            V = basis.evaluate(z)
+            assert np.max(np.abs(V - complex_replay(basis, z))) <= 1e-13 * np.max(np.abs(V))
+
+    def test_complex_recurrence_rejected(self, cell_mid, quad_mid):
+        basis = build_basis(cell_mid, 0.3, 4, quad_mid)
+        with pytest.raises(ValueError, match="H must be real, got dtype complex128"):
+            dataclasses.replace(basis, H=basis.H.astype(complex))
 
     def test_negative_k_rejected(self, cell_mid, quad_mid):
         with pytest.raises(ValueError):
