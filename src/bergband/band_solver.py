@@ -325,31 +325,46 @@ def _disc_stage(
     return _DiscStage(basis, M, c, moments.reshape(-1, basis.dim_eff, basis.dim_eff))
 
 
-def _cell_moments(stage: _DiscStage, Xt: np.ndarray, F: np.ndarray, y: np.ndarray):
+# The largest 1 + tr S (_cell_moments) at which I + S is Cholesky-factored
+_CHOLESKY_BOUND = 100.0
+
+
+def _cell_moments(stage: _DiscStage, F: np.ndarray, y: np.ndarray):
     """One cell's moments in its cell-orthonormal basis: the (M + 1) x d^2 rows
     (A_cell, G_cell) of the flattened A_m and G_m (_disc_stage), or the d x d
     A_0 alone when M = 0.  F holds the basis on the cell's strip rule as
     (re, im) rows, in the order of E's rows (below), each pair already scaled
     by sqrt(2 w) of its node (w the rule's weight, doubled for the mirror
     half; band_structures scales a batch at once), and y the rule's heights
-    (build_cell_strip_rules).  Xt is the h-list's operand buffer.
+    (build_cell_strip_rules).
 
-    The strip enters as rows appended to a QR factorization (Golub and Van Loan,
-    Matrix Computations, 6.5): the rows of F, stacked on I.
-    Their R has R^T R = I + S, the cell Gram matrix of E, so E R^-1 is
-    orthonormal on the cell: Q0 up to an orthogonal factor, which leaves the
-    bands unchanged.  Every disc moment moves to it as R^-T X R^-1, and
-    ||R^-1|| <= 1 since R^T R >= I, so the move never amplifies rounding.
-    I + S itself is never formed: its condition number reaches 9e11 (R0 0.26,
-    K 24, h 0.1), where bands from its Cholesky factor are off by 3e-9.  The
-    strip adds nothing to A_m, and its G_m sum T_m(y / R0) times one d x d
-    product per row of nodes of one height y, of the operand's scaled strip
-    rows moved by R^-1.
+    The strip adds S = F F^T to the Gram matrix of E, so the cell Gram matrix
+    is I + S = R^T R for an upper triangular R, and E R^-1 is orthonormal on
+    the cell: Q0 up to an orthogonal factor, which leaves the bands unchanged.
+    Every disc moment moves to it as R^-T X R^-1, and ||R^-1|| <= 1 since
+    R^T R >= I, so the move never amplifies rounding.  The strip adds nothing
+    to A_m, and its G_m sum T_m(y / R0) times one d x d product per row of
+    nodes of one height y, of the scaled strip rows moved by R^-1.
 
-    The order of the QR matters.  Outside the disc, E grows with K and with the
-    strip's length 1/2 - R0 (to 7e7 at R0 0.2501, K 24), and Householder QR
-    perturbs each column relative to its norm, which swamps the unit rows of I
-    when they come first: the bands were then off by 8.5e-12 at R0 0.2501, K 24,
+    R comes from one of two factorizations, chosen by cond(I + S) <= 1 + tr S
+    = 1 + ||F||_F^2, a bound read off S.  Where 1 + tr S <= _CHOLESKY_BOUND,
+    R^T is the Cholesky factor of I + S, which is backward stable to rounding
+    at that condition (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 10.1).  Every h of K 10, R0 0.35 takes this side (1 + tr S is
+    21.4 at h 0.1 and falls with h), and so does K 16, h 0.01 (7.2).  Near
+    R0 1/4 and at high K the QR below is taken: 1 + tr S is 1.2e5 at R0 0.26,
+    K 10, h 0.1.  The bound is 100, not ~1e4: at R0 0.2501, h 0.002
+    (1 + tr S = 4.6e3) the Cholesky factor left G_0 off the identity by
+    2.3e-13, the QR below by 1.1e-14.  The side depends only on the cell's own
+    strip values, so a cell takes the same side alone or in any h-list.
+
+    Above the bound R comes from a QR factorization of F's rows stacked on I
+    (Golub and Van Loan, Matrix Computations, 6.5), and I + S is never formed:
+    its condition number reaches 9e11 (R0 0.26, K 24, h 0.1).  The order of
+    that QR matters.  Outside the disc, E grows with K and with the strip's
+    length 1/2 - R0 (to 7e7 at R0 0.2501, K 24), and Householder QR perturbs
+    each column relative to its norm, which swamps the unit rows of I when
+    they come first: the bands were then off by 8.5e-12 at R0 0.2501, K 24,
     eta 0, h 0.1.  Householder QR is row-wise stable with the rows sorted by
     decreasing size and column pivoting (Powell and Reid; Cox and Higham), so
     the strip rows go on top and the heavy columns come first, a static form of
@@ -365,21 +380,23 @@ def _cell_moments(stage: _DiscStage, Xt: np.ndarray, F: np.ndarray, y: np.ndarra
     K 32.  Against that basis the bands agree to 1e-12 up to K 24 for every
     R0, and on the longest strip (R0 0.2501, eta 0) to 1e-11 at K 32 and 1e-9
     at K 40: the rounding of E on the strip (3e12) and of the QR that scales it
-    back costs digits there.
-
-    The operand is the matrix [F^T; I], held as its transpose Xt, d x (n + d)
-    for n entries per row of F: the cell copies F into the first n columns,
-    and the identity block in the last d stays where band_structures placed
-    it, once per h-list and n.  Xt.T is then column-major, the layout LAPACK
-    factors, so numpy hands it over with a plain copy.
+    back costs digits there.  The operand [F^T; I] is formed as its transpose
+    [F, I], whose transpose is column-major, the layout LAPACK factors, so
+    numpy hands it over with a plain copy.
     """
     d, M = stage.basis.dim_eff, stage.M
-    Fs = Xt[:, : F.shape[1]]
-    np.copyto(Fs, F)
-    R_inv = np.linalg.inv(np.linalg.qr(Xt.T, mode="r"))
+    # a copy with rows in memory order: numpy's matmul hands BLAS no view
+    # with a negative stride, such as band_structures' reversed rows
+    F = np.ascontiguousarray(F)
+    S = F @ F.T
+    if 1.0 + np.trace(S) <= _CHOLESKY_BOUND:
+        S[np.diag_indices(d)] += 1.0
+        R_inv = np.linalg.inv(np.linalg.cholesky(S)).T
+    else:
+        R_inv = np.linalg.inv(np.linalg.qr(np.hstack([F, np.eye(d)]).T, mode="r"))
     if M == 0:
         return R_inv.T @ stage.moments @ R_inv
-    Fr = (R_inv.T @ Fs).reshape(d, y.size, -1).transpose(1, 0, 2)
+    Fr = (R_inv.T @ F).reshape(d, y.size, -1).transpose(1, 0, 2)
     per_row = Fr @ Fr.transpose(0, 2, 1)
     T = chebvander(y / stage.basis.cell.R0, M).T
     A_cell, G_cell = (R_inv.T @ stage.moments @ R_inv).reshape(2, M + 1, d * d)
@@ -411,11 +428,10 @@ def band_structures(
     (build_cell_strip_rules), and the basis is evaluated on all of them in one
     call, each cell taking its block of the result.  A call replays the basis
     recurrence in d sequential steps, whose fixed cost outweighs the arithmetic
-    on one strip, and the batch bounds a step's work on a long h-list.  The QR
-    updates of the cells with one row count share one operand buffer
-    (_cell_moments).  A cell's QR update and fiber solves wait until it is
-    asked for, so a caller that stops early builds and solves no more batches
-    and cells.
+    on one strip, and the batch bounds a step's work on a long h-list.  A
+    cell's strip factorization (_cell_moments) and fiber solves wait until it
+    is asked for, so a caller that stops early builds and solves no more
+    batches and cells.
 
     The cell quadrature orders n_r, n_t and n_strip default to None, which
     derives them from K_modes and R0 (_quadrature_orders): a fixed rule would
@@ -445,9 +461,6 @@ def band_structures(
     folded, fiber = _fold(etas)
     stage = _disc_stage(first, profile, folded, K_modes, n_r, n_t)
     d = stage.basis.dim_eff
-    # the QR operand of every cell with 2 n_strip n_y scaled strip entries per
-    # row (_cell_moments), by that count, its identity block placed once
-    operands: dict[int, np.ndarray] = {}
     for start in range(0, len(cells), _STRIP_BATCH):
         cut = cells[start : start + _STRIP_BATCH]
         heights = [min(n_strip, _strip_heights(K_modes, c.R0, c.h)) for c in cut]
@@ -460,12 +473,10 @@ def band_structures(
         end = 0
         for n_y in heights:
             block = slice(end, end + n_strip * n_y)
-            end, n = block.stop, 2 * n_strip * n_y
-            if n not in operands:
-                operands[n] = np.hstack([np.zeros((d, n)), np.eye(d)])
+            end = block.stop
             pairs = slice(2 * block.start, 2 * block.stop)
             y = nodes[block].imag[::n_strip]
-            moments = _cell_moments(stage, operands[n], F[:, pairs], y)
+            moments = _cell_moments(stage, F[:, pairs], y)
             if stage.M == 0:  # one fiber, eta0, where G = I: A_0 in the cell-orthonormal basis
                 lambdas = _band_eigenvalues(moments[None], N_keep)
             else:

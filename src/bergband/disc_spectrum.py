@@ -131,7 +131,7 @@ def disc_galerkin_matrix(
     if N < 1:
         raise ValueError(f"matrix size must be >= 1, got {N}")
     z = quad.nodes
-    # Coarseness guard: the top monomial's norm must be exact to ~1e-10.
+    # Coarseness guard: the top monomial's norm must be exact to 1e-8, relative.
     top = z ** (N - 1)
     err = abs(quad.norm(top) - _monomial_norm(R0, N - 1)) / _monomial_norm(R0, N - 1)
     if err > 1e-8:

@@ -181,8 +181,8 @@ def run_prescribed_spectrum(config: RunConfig) -> RunResult:
     """Synthesize, then halve h until the gap report passes or h_min is hit.
 
     The h-steps are one config_bands pass.  The first step forms the basis
-    and the disc moments; each step adds its ligament's QR update and fiber
-    solves, and no step after the first pass is solved.  Each
+    and the disc moments; each step adds its ligament's strip factorization
+    and fiber solves, and no step after the first pass is solved.  Each
     diagnostics["h_trace"] entry records its step's band time as bands_s.
 
     An empty target list passes trivially (zero symbol, spectrum = {0}).

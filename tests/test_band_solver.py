@@ -105,12 +105,14 @@ class TestComputeBands:
 
     def test_single_fiber_skips_expansion(self, monkeypatch, k3_profile):
         # a grid that folds to one eta is one product and one eigensolve:
-        # sending it through the moment kernel made the 24-h study 15% slower
+        # sending it through the moment kernel made the 24-h study 15% slower.
+        # The fibers' Cholesky factors are _fiber_bands'; the strip's own
+        # Cholesky factor (_cell_moments) runs on this path too
         def forbidden(*args, **kwargs):
             raise AssertionError("the single-fiber path must not expand the twist")
 
         monkeypatch.setattr(band_solver, "_chebyshev_moments", forbidden)
-        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        monkeypatch.setattr(band_solver, "_fiber_bands", forbidden)
         cell = CellGeometry(R0=0.35, h=0.05)
         single = compute_bands(cell, k3_profile, [0.7])
         pair = compute_bands(cell, k3_profile, [-0.7, 0.7])
@@ -252,12 +254,17 @@ class TestBandStructures:
     @pytest.mark.parametrize("K", [10, 16, 24])
     @pytest.mark.parametrize("R0", [0.2501, 0.26, 0.35, 0.49])
     def test_split_matches_full_cell_basis(self, k3_profile, R0, K, grid, checked):
-        # The disc basis with each strip added as a QR update spans the
-        # basis orthonormalized on the whole cell.  At R0 0.26, K 24, h 0.1
-        # the cell Gram matrix I + S of the disc basis has condition 9e11,
-        # and bands from its Cholesky factor are off by 3e-9.  R0 0.2501
-        # has the longest strip, where the basis grows most; a QR with the
-        # unit rows on top was off by 4e-12 there (K 24, eta 0).
+        # The disc basis with each strip added spans the basis
+        # orthonormalized on the whole cell.  Above the Cholesky bound the
+        # strip is a QR update: on the single-eta path at h 0.1, bands from
+        # a Cholesky factor of I + S were off from the QR's, relative to
+        # max |lambda|, by 2.7e-14 at 1 + ||F||^2 = 4.8e5 (R0 0.2501, K 10),
+        # 4.4e-13 at 1.1e8 (R0 0.26, K 16), 6.6e-12 at 9.4e8 (R0 0.2501,
+        # K 16), 7.8e-10 at 9.6e11 (R0 0.26, K 24) and 1.4e-8 at 2.4e13
+        # (R0 0.2501, K 24); at R0 0.2501, K 32, eta 0 I + S was not
+        # positive definite in floating point.  R0 0.2501 has the longest
+        # strip, where the basis grows most; a QR with the unit rows on top
+        # was off by 4e-12 there (K 24, eta 0).
         assert self._worst_error(k3_profile, R0, K, grid, checked) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -302,8 +309,8 @@ class TestBandStructures:
 
     def test_lazy(self, count_calls, k3_profile):
         # every strip is built, in one batch, and evaluated at the first
-        # next(); each cell's QR update and fiber solves wait until that cell
-        # is asked for
+        # next(); each cell's strip factorization and fiber solves wait until
+        # that cell is asked for
         strips = count_calls(band_solver, "build_cell_strip_rules")
         evaluations = count_calls(TwistedBasis, "evaluate")
         solves = count_calls(band_solver, "_band_eigenvalues")
@@ -357,6 +364,50 @@ class TestBandStructures:
                 assert bands.dim_eff == alone.dim_eff
                 assert np.max(np.abs(bands.lambdas - alone.lambdas)) <= bound
 
+    @pytest.mark.parametrize(
+        "R0, K, hs, grid, rule, qr_calls",
+        [
+            # the h-scan bench's list: 1 + ||F||^2 runs from 21.3 down to 1.26
+            (0.35, 10, np.geomspace(0.1, 0.002, 24), [0.3], {}, 0),
+            # the README run's h-loop: 21.4, 8.1 and 4.3
+            (0.35, 10, (0.1, 0.05, 0.025), np.linspace(-np.pi, np.pi, 65), {}, 0),
+            # the sweep bench's size: 7.2
+            (0.35, 16, (0.01,), np.linspace(-np.pi, np.pi, 65), dict(n_r=48, n_t=96, n_strip=32), 0),
+            # the longest strip: 2.4e13
+            (0.2501, 24, (0.1,), [0.0], {}, 1),
+        ],
+        ids=["h-scan", "readme", "sweep", "longest-strip-K24"],
+    )
+    def test_strip_factorization_side(self, count_calls, k3_profile, R0, K, hs, grid, rule, qr_calls):
+        # a cell takes the QR update only where 1 + ||F||_F^2 exceeds the
+        # Cholesky bound; every bench and README input stays below it
+        qrs = count_calls(np.linalg, "qr")
+        cells = [CellGeometry(R0=R0, h=h) for h in hs]
+        assert len(list(band_structures(cells, k3_profile, grid, K, **rule))) == len(cells)
+        assert len(qrs) == qr_calls
+
+    @pytest.mark.parametrize("grid", [[1.1], np.linspace(-np.pi, np.pi, 65)], ids=["single", "folded-65"])
+    @pytest.mark.parametrize("K", [10, 16])
+    @pytest.mark.parametrize("R0", [0.2501, 0.3, 0.35, 0.49])
+    def test_cholesky_side_matches_qr_side(self, monkeypatch, k3_profile, R0, K, grid):
+        # with the bound at 0 every cell takes the QR update; the Cholesky
+        # side, taken where 1 + ||F||_F^2 <= 100, gives the same bands
+        cells = [CellGeometry(R0=R0, h=h) for h in (0.1, 0.002)]
+        default = [bands.lambdas for bands in band_structures(cells, k3_profile, grid, K)]
+        monkeypatch.setattr(band_solver, "_CHOLESKY_BOUND", 0.0)
+        for lams, qr in zip(default, band_structures(cells, k3_profile, grid, K)):
+            assert np.max(np.abs(lams - qr.lambdas)) <= 1e-14 * np.max(np.abs(qr.lambdas))
+
+    def test_strip_factorization_is_no_option(self):
+        # the side is read off each cell's strip values, not set by a caller
+        assert list(inspect.signature(band_structures).parameters) == [
+            "cells", "profile", "eta_grid", "K_modes", "N_keep", "n_r", "n_t", "n_strip",
+        ]
+        assert list(RunConfig.__dataclass_fields__) == [
+            "targets", "epsilon", "delta_override", "R0", "eta_points", "K_modes",
+            "h_initial", "h_min", "N_keep", "bands_csv", "report_json", "diagnostics_json",
+        ]
+
     def test_no_cells_no_bands(self, k3_profile):
         assert list(band_structures([], k3_profile, [0.0])) == []
 
@@ -364,8 +415,11 @@ class TestBandStructures:
     @pytest.mark.parametrize("R0", [0.2501, 0.35, 0.49])
     def test_cell_gram_is_identity(self, count_calls, k3_profile, R0, h):
         # G_0 = Q0^H diag(w) Q0 is the Gram matrix on the whole cell of the
-        # basis the strip's QR update makes orthonormal; the worst defect,
-        # 3.3e-14, is on the longest strip (R0 0.2501, h 0.1)
+        # basis the strip's factorization makes orthonormal.  The Cholesky
+        # side (R0 0.35 and 0.49) reads at most 1.2e-15; the worst defect,
+        # 5.7e-14, is the QR side's on the longest strip (R0 0.2501, h 0.1).
+        # At h 0.002 there (1 + ||F||^2 = 4.6e3) a Cholesky factor read
+        # 2.3e-13, the QR 1.1e-14: the bound keeps that cell on the QR
         calls = count_calls(band_solver, "_fiber_bands")
         cell = CellGeometry(R0=R0, h=h)
         bands = compute_bands(cell, k3_profile, np.linspace(-np.pi, np.pi, 65))

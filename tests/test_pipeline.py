@@ -161,7 +161,7 @@ class TestRunPrescribedSpectrum:
 
     def test_one_basis_per_run(self, count_calls):
         # the disc stage runs once, and every strip is evaluated in one call;
-        # each later h-step adds only its QR update and fiber solves
+        # each later h-step adds only its strip factorization and fiber solves
         bases = count_calls(band_solver, "build_basis")
         evaluations = count_calls(TwistedBasis, "evaluate")
         result = run_prescribed_spectrum(RunConfig(targets=(0.36, 0.30)))
