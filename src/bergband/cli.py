@@ -5,12 +5,18 @@ tabular files.  Exit codes: 0 success (or verdict pass), 1 verdict fail,
 2 usage error, 3 numerical error.  Floats are written with ``repr``,
 i.e. the shortest digit string that round-trips, so re-running a command
 on its own emitted config reproduces byte-identical numeric columns.
+
+Every CSV table (``bands``, ``run``'s ``bands_csv``, ``disc-spec`` and
+``study-h``, to a file or to stdout) is, byte for byte, what ``csv.writer``
+writes for its values: a header line, then one line per row with fields
+joined by commas and no quoting, floats as ``repr`` and ints as ``str``, every
+line ended by ``\r\n``.  The bands table has one row ``eta,n,lambda`` per
+(eta, n), in grid order, n = 1..N_keep within each eta.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -50,15 +56,19 @@ def _parse_floats(text: str) -> list[float]:
     return [float(t) for t in text.split(",")]
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    out = open(path, "w", newline="") if path else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if path:
-            out.close()
+def _csv_lines(rows) -> list[str]:
+    """The CSV lines of rows of floats and ints (str of a float is its repr)."""
+    return [",".join(map(str, row)) + "\r\n" for row in rows]
+
+
+def _write_csv(path: str | None, header: list[str], lines: list[str]) -> None:
+    """Write the header and the formatted lines (_csv_lines) as one piece."""
+    text = "".join([",".join(header), "\r\n", *lines])
+    if path:
+        with open(path, "w", newline="") as out:
+            out.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _check_count(flag: str, value: int, least: int) -> None:
@@ -89,20 +99,17 @@ def cmd_disc_spec(args) -> int:
     else:
         profile = synthesize_profile(_parse_floats(args.targets))
     spec = compute_disc_spectrum(profile, N_kept=args.n)
-    _write_csv(
-        args.out,
-        ["n", "lambda"],
-        [(n + 1, lam) for n, lam in enumerate(spec.eigenvalues)],
-    )
+    _write_csv(args.out, ["n", "lambda"], _csv_lines(enumerate(spec.eigenvalues, start=1)))
     return EXIT_OK
 
 
-def _bands_rows(bands):
-    return [
-        (eta, n, lam)
-        for eta, row in zip(bands.etas.tolist(), bands.lambdas.tolist())
-        for n, lam in enumerate(row, start=1)
-    ]
+def _bands_lines(bands) -> list[str]:
+    """The CSV lines of a band structure, each eta formatted once for its row."""
+    lines = []
+    for eta, row in zip(bands.etas.tolist(), bands.lambdas.tolist()):
+        lead = f"{eta!r},"
+        lines += [f"{lead}{n},{lam!r}\r\n" for n, lam in enumerate(row, start=1)]
+    return lines
 
 
 def cmd_bands(args) -> int:
@@ -110,7 +117,7 @@ def cmd_bands(args) -> int:
     profile = synthesize_profile(cfg.targets)
     bands = next(config_bands(cfg, profile, [args.h if args.h is not None else cfg.h_initial]))
     out = args.out or cfg.bands_csv or "bands.csv"
-    _write_csv(out, ["eta", "n", "lambda"], _bands_rows(bands))
+    _write_csv(out, ["eta", "n", "lambda"], _bands_lines(bands))
     return EXIT_OK
 
 
@@ -145,7 +152,7 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     result = run_prescribed_spectrum(cfg)
     if cfg.bands_csv and result.band_structure is not None:
-        _write_csv(cfg.bands_csv, ["eta", "n", "lambda"], _bands_rows(result.band_structure))
+        _write_csv(cfg.bands_csv, ["eta", "n", "lambda"], _bands_lines(result.band_structure))
     if cfg.report_json:
         Path(cfg.report_json).write_text(_report_doc(cfg, result) + "\n")
     if cfg.diagnostics_json:
@@ -195,7 +202,7 @@ def cmd_study_h(args) -> int:
     for row in rows:
         for n, (lam, err) in enumerate(zip(row["lambdas"], row["errors"]), start=1):
             flat.append((row["h"], n, lam, err))
-    _write_csv(args.out, ["h", "n", "lambda", "error"], flat)
+    _write_csv(args.out, ["h", "n", "lambda", "error"], _csv_lines(flat))
     return EXIT_OK
 
 

@@ -543,6 +543,37 @@ class TestFiberBands:
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.all(got[:, bands.dim_eff :] == 0.0)
 
+    @pytest.mark.parametrize(
+        "h, K, rule",
+        [
+            (0.05, 10, {}),  # README size, d 21
+            (0.01, 16, dict(n_r=48, n_t=96, n_strip=32)),  # the sweep bench's size, d 33
+            (0.05, 0, {}),  # d 1
+        ],
+        ids=["readme", "sweep", "K0"],
+    )
+    def test_whitening_inverts_the_cholesky_factor(self, count_calls, k3_profile, h, K, rule):
+        # X = L^-1 by forward substitution, against an explicit inv(L) per fiber
+        calls = count_calls(band_solver, "_fiber_bands")
+        bands = compute_bands(
+            CellGeometry(R0=0.35, h=h), k3_profile, np.linspace(-np.pi, np.pi, 65),
+            K_modes=K, **rule,
+        )
+        (c, A_cell, G_cell, N_keep), = calls
+        d = bands.dim_eff
+        G = (c[:, None] @ G_cell).reshape(len(c), d, d)
+        A = (c[:, None] @ A_cell).reshape(len(c), d, d)
+        X = band_solver._whitening(G)
+        assert X.shape == (33, d, d)
+        assert np.all(np.triu(X, 1) == 0.0)
+        assert np.max(np.abs(X @ G @ X.transpose(0, 2, 1) - np.eye(d))) <= 1e-14 * np.max(np.abs(G))
+        L_inv = np.linalg.inv(np.linalg.cholesky(G))
+        ev = np.linalg.eigvalsh(L_inv @ A @ L_inv.transpose(0, 2, 1))
+        ref = np.take_along_axis(ev, np.argsort(-np.abs(ev), axis=1, kind="stable"), axis=1)
+        got = band_solver._fiber_bands(c, A_cell, G_cell, N_keep)
+        kept = min(d, N_keep)
+        assert np.max(np.abs(got[:, :kept] - ref[:, :kept])) <= 1e-14 * np.max(np.abs(ref))
+
     def test_equal_moduli_keep_increasing_order(self):
         # each fiber is a multiple of diag(0.5, -0.5, 0.25) and of I: the pair
         # +-0.5 ties exactly, so only a stable sort fixes its order, and d = 3

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergband import cli
-from bergband.band_solver import compute_bands
+from bergband.band_solver import BandStructure, compute_bands, h_convergence_study
+from bergband.disc_spectrum import compute_disc_spectrum
 from bergband.geometry import CellGeometry
 from bergband.cli import main, EXIT_OK, EXIT_VERDICT_FAIL, EXIT_USAGE, EXIT_NUMERICAL
-from bergband.pipeline import RunConfig
+from bergband.pipeline import RunConfig, config_bands, run_prescribed_spectrum
+from bergband.symbols import synthesize_profile
 
 
 @pytest.fixture()
@@ -171,7 +174,7 @@ class TestBands:
             CellGeometry(R0=0.35, h=0.05), k3_profile, np.linspace(-np.pi, np.pi, 65)
         )
         out = tmp_path / "bands.csv"
-        cli._write_csv(str(out), ["eta", "n", "lambda"], cli._bands_rows(bands))
+        cli._write_csv(str(out), ["eta", "n", "lambda"], cli._bands_lines(bands))
         expected = "eta,n,lambda\r\n" + "".join(
             f"{float(eta)!r},{n + 1},{float(bands.lambdas[i, n])!r}\r\n"
             for i, eta in enumerate(bands.etas)
@@ -179,6 +182,96 @@ class TestBands:
         )
         assert len(expected.splitlines()) == 1 + 65 * 8
         assert out.read_bytes() == expected.encode()
+
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer writes for a header and rows, as bytes."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue().encode()
+
+
+def band_rows(bands):
+    return [
+        (eta, n, lam)
+        for eta, row in zip(bands.etas.tolist(), bands.lambdas.tolist())
+        for n, lam in enumerate(row, start=1)
+    ]
+
+
+def cli_bytes(argv, out):
+    """The CSV bytes a command writes: to the file out, run in process, or
+    to stdout (out None), run in a fresh interpreter, which sees real bytes."""
+    if out is not None:
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bergband", *argv], env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return proc.stdout
+
+
+class TestCsvBytes:
+    # every CSV table is byte for byte what csv.writer writes for its values
+
+    def test_run_bands_csv(self, tmp_path):
+        out = tmp_path / "bands.csv"
+        doc = {"targets": [0.3, 0.2, 0.1], "epsilon": 0.02, "eta_points": 5, "bands_csv": str(out)}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        bands = run_prescribed_spectrum(RunConfig.from_json(json.dumps(doc))).band_structure
+        assert out.read_bytes() == csv_writer_bytes(["eta", "n", "lambda"], band_rows(bands))
+
+    def test_bands_out(self, tmp_path, run_config_path):
+        got = cli_bytes(["bands", "--config", str(run_config_path), "--h", "0.05"], tmp_path / "b.csv")
+        cfg = RunConfig.from_json(run_config_path.read_text())
+        bands = next(config_bands(cfg, synthesize_profile(cfg.targets), [0.05]))
+        assert got == csv_writer_bytes(["eta", "n", "lambda"], band_rows(bands))
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_disc_spec(self, tmp_path, to_file):
+        got = cli_bytes(
+            ["disc-spec", "--targets", "0.3,0.2,0.1", "--n", "10"],
+            tmp_path / "disc.csv" if to_file else None,
+        )
+        spec = compute_disc_spectrum(synthesize_profile([0.3, 0.2, 0.1]), N_kept=10)
+        rows = [(n + 1, lam) for n, lam in enumerate(spec.eigenvalues)]
+        assert got == csv_writer_bytes(["n", "lambda"], rows)
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_study_h(self, tmp_path, to_file):
+        got = cli_bytes(
+            ["study-h", "--targets", "0.3,0.2,0.1", "--h-list", "0.1,0.05", "--n-track", "2"],
+            tmp_path / "study.csv" if to_file else None,
+        )
+        study = h_convergence_study(synthesize_profile([0.3, 0.2, 0.1]), [0.1, 0.05], eta=0.0, n_track=2)
+        rows = [
+            (row["h"], n, lam, err)
+            for row in study
+            for n, (lam, err) in enumerate(zip(row["lambdas"], row["errors"]), start=1)
+        ]
+        assert got == csv_writer_bytes(["h", "n", "lambda", "error"], rows)
+
+    def test_bands_formatter_edge_values(self, tmp_path):
+        # signed zero, the smallest subnormal, a huge value, a sum with a long
+        # repr and nan, in both columns that hold floats
+        bands = BandStructure(
+            etas=np.array([-0.0, 0.1 + 0.2, 5e-324]),
+            lambdas=np.array(
+                [[-0.0, 5e-324, 1e300], [0.1 + 0.2, np.nan, -1e300], [np.inf, 1.0, -5e-324]]
+            ),
+            dim_eff=3,
+        )
+        out = tmp_path / "bands.csv"
+        cli._write_csv(str(out), ["eta", "n", "lambda"], cli._bands_lines(bands))
+        got = out.read_bytes()
+        assert got == csv_writer_bytes(["eta", "n", "lambda"], band_rows(bands))
+        assert b"-0.0,1,-0.0\r\n" in got and b",1e+300\r\n" in got and b",nan\r\n" in got
 
 
 class TestRunAndReport:
