@@ -12,9 +12,7 @@ from .symbols import (
     TargetSpec,
     IllConditionedError,
     synthesize_profile,
-    eval_disc_symbol,
     eval_cell_symbol,
-    eval_periodic_symbol,
 )
 from .disc_spectrum import (
     DiscSpectrum,
@@ -23,7 +21,7 @@ from .disc_spectrum import (
     disc_galerkin_matrix,
     spectral_gap,
 )
-from .quasi_bergman import TwistedBasis, raw_mode, build_basis, project, twist, projector_distance
+from .quasi_bergman import TwistedBasis, build_basis, projector_distance
 from .band_solver import (
     BandStructure,
     SpectrumReport,
@@ -35,8 +33,8 @@ from .band_solver import (
     h_convergence_study,
     almost_eigen_check,
 )
-from .floquet import CellField, FloquetField, floquet_forward, floquet_inverse, quasimode_synthesize
-from .conformal import ConformalPair, identity_pair, rotation_pair, moebius_pair, rect_exp_pair, transplant, transplant_symbol, spectral_equivalence_check
+from .floquet import CellField, FloquetField, floquet_forward, floquet_inverse
+from .conformal import ConformalPair, identity_pair, rotation_pair, moebius_pair, transplant
 from .pipeline import RunConfig, RunResult, run_prescribed_spectrum
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ __all__ = [
     "moment_eigenvalue",
     "compute_disc_spectrum",
     "disc_galerkin_matrix",
-    "monomial_galerkin_matrix",
     "spectral_gap",
 ]
 
@@ -97,22 +96,6 @@ def _monomial_norm(R0: float, n: int) -> float:
     return float(np.sqrt(np.pi * R0 ** (2 * n + 2) / (n + 1)))
 
 
-def monomial_galerkin_matrix(
-    values: np.ndarray,
-    R: float,
-    N: int,
-    quad: QuadratureRule,
-) -> np.ndarray:
-    """Galerkin matrix of multiplication by a symbol in the normalized
-    monomials z^n / ||z^n||, n < N, of the disc of radius R, given the
-    symbol's ``values`` at the quadrature nodes."""
-    z = quad.nodes
-    cols = np.empty((z.size, N), dtype=complex)
-    for n in range(N):
-        cols[:, n] = z**n / _monomial_norm(R, n)
-    return compress(quad.weights * values, cols)
-
-
 def disc_galerkin_matrix(
     profile: RadialProfile,
     R0: float,
@@ -139,7 +122,10 @@ def disc_galerkin_matrix(
             f"quadrature too coarse for N={N}: monomial norm error {err:.2e}"
         )
 
-    return monomial_galerkin_matrix(profile(np.abs(z) / R0), R0, N, quad)
+    cols = np.empty((z.size, N), dtype=complex)
+    for n in range(N):
+        cols[:, n] = z**n / _monomial_norm(R0, n)
+    return compress(quad.weights * profile(np.abs(z) / R0), cols)
 
 
 def spectral_gap(spec: DiscSpectrum, N: int) -> float:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import QuadratureRule
-from .quasi_bergman import TwistedBasis, twist
 
 __all__ = [
     "CellField",
@@ -29,7 +28,6 @@ __all__ = [
     "floquet_inverse",
     "field_norm",
     "floquet_norm",
-    "quasimode_synthesize",
 ]
 
 
@@ -123,46 +121,3 @@ def floquet_norm(ff: FloquetField) -> float:
     weight = 2.0 * np.pi / ff.samples.shape[0]
     return float(np.sqrt(weight * np.sum(w * np.abs(ff.samples) ** 2)))
 
-
-def quasimode_synthesize(
-    band_eigvec: np.ndarray,
-    basis: TwistedBasis,
-    mu: float,
-    n_width: int,
-    M: int,
-) -> CellField:
-    """Build a localized near-eigenfunction on the truncated domain.
-
-    The fiber eigenvector at eta = mu is spread over the eta-indicator
-    window {|eta - mu| <= pi / n_width} (circular distance; each grid
-    point in the window receives the eigenfunction twisted from mu into
-    its own fiber), then transformed back.  Larger ``n_width`` means a
-    narrower indicator; once pi / n_width drops below the grid spacing
-    only the mu term itself survives.  For narrow windows the twists are
-    near-isometries and the output norm lies in [1/2, 1] up to tolerance.
-    """
-    etas = eta_grid_for(M)
-    j_mu = int(np.argmin(np.abs(etas - mu)))
-    if abs(etas[j_mu] - mu) > 1e-9:
-        raise ValueError(f"mu={mu} is not a point of the {2 * M + 1}-node eta grid")
-    if n_width < 1:
-        raise ValueError(f"n_width must be >= 1, got {n_width}")
-
-    u = basis.Q @ np.asarray(band_eigvec, dtype=complex)
-    nu = np.sqrt(np.sum(basis.quad.weights * np.abs(u) ** 2))
-    if nu == 0.0:
-        raise ValueError("eigenvector synthesizes to the zero field")
-    u = u / nu
-
-    # Circular eta-distance from mu, window radius pi / n_width.
-    dist = np.abs((etas - etas[j_mu] + np.pi) % (2.0 * np.pi) - np.pi)
-    window = np.flatnonzero(dist <= np.pi / n_width + 1e-12)
-    weight = 2.0 * np.pi / etas.size
-    # Scale so the windowed field has unit transform-side norm when the
-    # twists are isometric; the actual norm then sits in [1/2, 1].
-    amp = 1.0 / np.sqrt(len(window) * weight)
-    g = np.zeros((etas.size, u.size), dtype=complex)
-    for j in window:
-        g[j] = amp * twist(mu, etas[j], u, basis.quad.nodes)
-    ff = FloquetField(samples=g, quad=basis.quad)
-    return floquet_inverse(ff)

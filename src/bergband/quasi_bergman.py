@@ -40,10 +40,7 @@ from .geometry import CellGeometry, QuadratureRule, mirror_half
 __all__ = [
     "TwistedBasis",
     "DegenerateBasisError",
-    "raw_mode",
     "build_basis",
-    "project",
-    "twist",
     "projector_distance",
 ]
 
@@ -120,13 +117,6 @@ class TwistedBasis:
             Vr[j] -= self.H[j, :j] @ Vr[:j]
             Vr[j] /= self.H[j, j]
         return Vt.T
-
-
-def raw_mode(eta: float, k: int, z: complex | np.ndarray):
-    """Generating mode e^{i (eta + 2 pi k) z}; quasiperiodic by construction."""
-    z = np.asarray(z, dtype=complex)
-    out = np.exp(1j * (eta + 2.0 * np.pi * k) * z)
-    return complex(out) if out.ndim == 0 else out
 
 
 def build_basis(
@@ -237,31 +227,6 @@ def build_basis(
         cell=cell,
         quad=quad,
     )
-
-
-def project(basis: TwistedBasis, f_samples: np.ndarray) -> np.ndarray:
-    """Coefficients of the discrete fiber projection: c = Q^H W f.
-
-    The projected field itself is ``basis.Q @ c``; applying project to it
-    returns c again (idempotence of the discrete projector).
-    """
-    f = np.asarray(f_samples, dtype=complex)
-    if f.shape != basis.quad.nodes.shape:
-        raise ValueError(
-            f"sample length {f.shape} does not match quadrature {basis.quad.nodes.shape}"
-        )
-    return basis.Q.conj().T @ (basis.quad.weights * f)
-
-
-def twist(eta: float, mu: float, f_samples: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Twist operator: multiplication by e^{i (mu - eta) z}.
-
-    Maps eta-quasiperiodic sample data to mu-quasiperiodic data; for
-    mu = eta it is the identity.
-    """
-    f = np.asarray(f_samples, dtype=complex)
-    z = np.asarray(nodes, dtype=complex)
-    return np.exp(1j * (mu - eta) * z) * f
 
 
 def projector_distance(basis_a: TwistedBasis, basis_b: TwistedBasis) -> float:

@@ -1,4 +1,4 @@
-"""Radial symbols: representation, moment-system synthesis, and periodic lifts.
+"""Radial symbols: representation, moment-system synthesis and cell evaluation.
 
 A profile is a real polynomial b(r) = c0 + sum_m c_m r^{2m+1} supported on
 [0, support] (default support 1/2, c0 = 0).  The odd monomials r^{2m+1}
@@ -22,9 +22,7 @@ __all__ = [
     "TargetSpec",
     "IllConditionedError",
     "synthesize_profile",
-    "eval_disc_symbol",
     "eval_cell_symbol",
-    "eval_periodic_symbol",
     "profile_to_json",
     "profile_from_json",
 ]
@@ -156,29 +154,12 @@ def synthesize_profile(targets) -> RadialProfile:
     return RadialProfile(coeffs=tuple(c))
 
 
-def eval_disc_symbol(profile: RadialProfile, z: complex | np.ndarray):
-    """Symbol on the unit disc: b(|z|), zero outside the profile support."""
-    return profile(np.abs(np.asarray(z, dtype=complex)))
-
-
 def eval_cell_symbol(profile: RadialProfile, cell: CellGeometry, z):
     """Symbol on the cell: b(|z|/R0) on the disc part, zero on the strip."""
     z = np.asarray(z, dtype=complex)
     r = np.abs(z) / cell.R0
     val = np.where(r < 1.0, profile(r), 0.0)
     return float(val) if val.ndim == 0 else val
-
-
-def eval_periodic_symbol(profile: RadialProfile, cell: CellGeometry, z):
-    """1-periodic symbol on the periodic domain.
-
-    Each point is reduced to the centered cell by subtracting the nearest
-    integer to Re z; rounding (rather than floor) is what makes the
-    reduction land in the cell centered at the origin.
-    """
-    z = np.asarray(z, dtype=complex)
-    m = np.round(z.real)
-    return eval_cell_symbol(profile, cell, z - m)
 
 
 def profile_to_json(profile: RadialProfile, R0: float) -> str:

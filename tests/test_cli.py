@@ -1,7 +1,10 @@
+import ast
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bergband
 from bergband import cli
 from bergband.band_solver import BandStructure, compute_bands, h_convergence_study
 from bergband.disc_spectrum import compute_disc_spectrum
@@ -500,6 +504,23 @@ class TestChecks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
+
+    def test_public_names_resolve(self):
+        # every name in a submodule's __all__ exists, and every name the
+        # package re-exports is in its module's __all__, so a removal that
+        # misses one of the three places fails here
+        for info in pkgutil.iter_modules(bergband.__path__):
+            if info.name == "__main__":  # importing it would run the CLI
+                continue
+            mod = importlib.import_module(f"bergband.{info.name}")
+            missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+            assert missing == [], info.name
+        tree = ast.parse(Path(bergband.__file__).read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                public = importlib.import_module(f"bergband.{node.module}").__all__
+                private = [a.name for a in node.names if a.name not in public]
+                assert private == [], node.module
 
     def test_unknown_command_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

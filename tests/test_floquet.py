@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bergband.geometry import CellGeometry, build_cell_quadrature
-from bergband.quasi_bergman import build_basis
 from bergband.floquet import (
     CellField,
     FloquetField,
@@ -12,7 +11,6 @@ from bergband.floquet import (
     floquet_inverse,
     field_norm,
     floquet_norm,
-    quasimode_synthesize,
 )
 
 
@@ -133,47 +131,3 @@ class TestTranslationCovariance:
         mod = np.exp(-1j * ff.eta_grid)[:, None]
         assert np.allclose(ffs.samples, mod * ff.samples, atol=1e-12)
 
-
-@pytest.fixture(scope="module")
-def mu_basis():
-    cell = CellGeometry(0.35, 0.05)
-    quad = build_cell_quadrature(cell, n_r=12, n_t=24, n_strip=8)
-    M = 8
-    mu = eta_grid_for(M)[8]  # an interior grid point
-    return build_basis(cell, mu, 6, quad), mu, M
-
-
-class TestQuasimode:
-    def test_narrow_window_single_term(self, mu_basis, rng):
-        basis, mu, M = mu_basis
-        vec = rng.standard_normal(basis.dim_eff)
-        vec = vec / np.linalg.norm(vec)
-        field = quasimode_synthesize(vec, basis, mu, n_width=10 * (2 * M + 1), M=M)
-        ff = floquet_forward(field)
-        mags = np.linalg.norm(ff.samples, axis=1)
-        assert np.count_nonzero(mags > 1e-10 * mags.max()) == 1
-
-    def test_norm_bracket(self, mu_basis, rng):
-        basis, mu, M = mu_basis
-        vec = rng.standard_normal(basis.dim_eff)
-        vec = vec / np.linalg.norm(vec)
-        for n_width in (4, 8, 2 * M + 1):
-            field = quasimode_synthesize(vec, basis, mu, n_width=n_width, M=M)
-            assert 0.5 - 1e-6 <= field_norm(field) <= 1.0 + 0.1
-
-    def test_separated_translates_nearly_orthogonal(self, mu_basis, rng):
-        basis, mu, M = mu_basis
-        vec = rng.standard_normal(basis.dim_eff)
-        vec = vec / np.linalg.norm(vec)
-        field = quasimode_synthesize(vec, basis, mu, n_width=4, M=M)
-        shifted = CellField(
-            M=M, samples=np.roll(field.samples, 8, axis=0), quad=basis.quad
-        )
-        ip = np.sum(basis.quad.weights * np.conj(shifted.samples) * field.samples)
-        denom = field_norm(field) * field_norm(shifted)
-        assert abs(ip) / denom <= 0.1
-
-    def test_off_grid_mu_rejected(self, mu_basis):
-        basis, mu, M = mu_basis
-        with pytest.raises(ValueError):
-            quasimode_synthesize(np.ones(basis.dim_eff), basis, mu + 0.01, 4, M)

@@ -12,15 +12,7 @@ from bergband.geometry import (
     build_disc_quadrature,
     mirror_half,
 )
-from bergband.quasi_bergman import (
-    CUTOFF,
-    TwistedBasis,
-    raw_mode,
-    build_basis,
-    project,
-    twist,
-    projector_distance,
-)
+from bergband.quasi_bergman import CUTOFF, TwistedBasis, build_basis, projector_distance
 
 
 def mgs_reference_basis(cell, eta, K_modes, quad):
@@ -89,25 +81,6 @@ def complex_replay(basis, z):
     return V.T
 
 
-class TestRawMode:
-    def test_constant_at_zero_parameters(self):
-        z = np.array([0.1 + 0.02j, -0.3j])
-        assert np.allclose(raw_mode(0.0, 0, z), 1.0)
-
-    def test_quasiperiodic_identity(self):
-        # f(1/2 + iy) = e^{i eta} f(-1/2 + iy) is an algebraic identity for
-        # every mode, not a property of the discretization.
-        y = np.linspace(-0.09, 0.09, 11)
-        for eta in (0.0, 0.7, np.pi):
-            for k in (-3, 0, 5):
-                lhs = raw_mode(eta, k, 0.5 + 1j * y)
-                rhs = raw_mode(eta, k, -0.5 + 1j * y)
-                assert np.allclose(lhs, np.exp(1j * eta) * rhs, rtol=1e-13)
-
-    def test_value_at_origin(self):
-        assert raw_mode(np.pi / 2, 1, 0.0) == pytest.approx(1.0)
-
-
 class TestBuildBasis:
     def test_k0_single_column(self, cell_mid, quad_mid):
         basis = build_basis(cell_mid, 0.3, 0, quad_mid)
@@ -131,8 +104,8 @@ class TestBuildBasis:
         # Projecting a generating mode onto the basis must reproduce it.
         basis = build_basis(cell_mid, 0.9, 8, quad_mid)
         for k in (-4, 0, 3):
-            f = raw_mode(0.9, k, quad_mid.nodes)
-            c = project(basis, f)
+            f = np.exp(1j * (0.9 + 2.0 * np.pi * k) * quad_mid.nodes)
+            c = basis.Q.conj().T @ (quad_mid.weights * f)
             assert quad_mid.norm(f - basis.Q @ c) <= 1e-8 * quad_mid.norm(f)
 
     def test_column_quasiperiodicity_off_grid(self, cell_mid, quad_mid):
@@ -239,63 +212,6 @@ class TestBlockGramSchmidt:
         cell = CellGeometry(R0=R0, h=0.05)
         rule = build_cell_quadrature(cell, *band_solver._quadrature_orders(K, R0))
         self.assert_matches_mgs_reference(cell, rule, K, 1.3)
-
-
-class TestProject:
-    def test_projection_identity_on_span(self, cell_mid, quad_mid, rng):
-        basis = build_basis(cell_mid, 0.6, 5, quad_mid)
-        coef = rng.standard_normal(basis.dim_eff) + 1j * rng.standard_normal(basis.dim_eff)
-        f = basis.Q @ coef
-        c = project(basis, f)
-        assert quad_mid.norm(f - basis.Q @ c) <= 1e-10 * quad_mid.norm(f)
-        assert np.allclose(c, coef, atol=1e-10)
-
-    def test_idempotence(self, cell_mid, quad_mid, rng):
-        basis = build_basis(cell_mid, 0.6, 5, quad_mid)
-        f = rng.standard_normal(quad_mid.nodes.size) + 1j * rng.standard_normal(
-            quad_mid.nodes.size
-        )
-        once = basis.Q @ project(basis, f)
-        twice = basis.Q @ project(basis, once)
-        assert quad_mid.norm(once - twice) <= 1e-10 * max(quad_mid.norm(once), 1e-30)
-
-    def test_antianalytic_leaves_residual(self, cell_mid, quad_mid):
-        basis = build_basis(cell_mid, 0.6, 5, quad_mid)
-        f = np.conj(raw_mode(0.6, 2, quad_mid.nodes))
-        c = project(basis, f)
-        assert quad_mid.norm(f - basis.Q @ c) > 0.1 * quad_mid.norm(f)
-
-    def test_zero_maps_to_zero(self, cell_mid, quad_mid):
-        basis = build_basis(cell_mid, 0.6, 3, quad_mid)
-        assert np.all(project(basis, np.zeros(quad_mid.nodes.size)) == 0.0)
-
-    def test_misaligned_length_rejected(self, cell_mid, quad_mid):
-        basis = build_basis(cell_mid, 0.6, 3, quad_mid)
-        with pytest.raises(ValueError):
-            project(basis, np.zeros(7))
-
-
-class TestTwist:
-    def test_identity_at_equal_parameters(self, quad_mid, rng):
-        f = rng.standard_normal(quad_mid.nodes.size)
-        assert np.allclose(twist(0.4, 0.4, f, quad_mid.nodes), f)
-
-    def test_maps_raw_modes_exactly(self, quad_mid):
-        eta, mu, k = 0.3, 1.9, 2
-        twisted = twist(eta, mu, raw_mode(eta, k, quad_mid.nodes), quad_mid.nodes)
-        assert np.allclose(twisted, raw_mode(mu, k, quad_mid.nodes), rtol=1e-13)
-
-    def test_near_identity_norm_scaling(self, cell_mid, quad_mid):
-        # Discrete operator norm of I - J_{eta,mu} scales ~ |eta - mu|:
-        # calibrate the constant at 0.1 and validate at 0.01.
-        z = quad_mid.nodes
-
-        def op_norm(d_eta):
-            # multiplication operator: norm = max_z |1 - e^{i d_eta z}|
-            return np.max(np.abs(1.0 - np.exp(1j * d_eta * z)))
-
-        C = op_norm(0.1) / 0.1
-        assert op_norm(0.01) <= 1.1 * C * 0.01
 
 
 class TestProjectorDistance:

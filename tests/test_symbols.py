@@ -14,9 +14,7 @@ from bergband.symbols import (
     RadialProfile,
     TargetSpec,
     synthesize_profile,
-    eval_disc_symbol,
     eval_cell_symbol,
-    eval_periodic_symbol,
     profile_to_json,
     profile_from_json,
 )
@@ -145,15 +143,6 @@ class TestTargetSpec:
 
 
 class TestSymbolEvaluation:
-    def test_disc_symbol_outside_support(self, k3_profile):
-        assert eval_disc_symbol(k3_profile, 0.75) == 0.0
-        assert eval_disc_symbol(k3_profile, 0.75j) == 0.0
-
-    def test_disc_symbol_radial(self, k3_profile):
-        a = eval_disc_symbol(k3_profile, 0.3)
-        b = eval_disc_symbol(k3_profile, 0.3j)
-        assert a == pytest.approx(b, rel=1e-14)
-
     def test_cell_symbol_scales(self, k3_profile):
         cell = CellGeometry(R0=0.35, h=0.05)
         # |z| = 0.5 R0 maps to radius 0.5 of the profile
@@ -162,31 +151,6 @@ class TestSymbolEvaluation:
         )
         assert eval_cell_symbol(k3_profile, cell, 0.0) == 0.0
         assert eval_cell_symbol(k3_profile, cell, 0.45) == 0.0  # strip point
-
-    def test_periodic_symbol_at_integers(self, k3_profile):
-        cell = CellGeometry(R0=0.35, h=0.05)
-        for m in (-3, 0, 7):
-            assert eval_periodic_symbol(k3_profile, cell, complex(m)) == 0.0
-
-    def test_periodic_symbol_reduction(self, k3_profile):
-        cell = CellGeometry(R0=0.35, h=0.05)
-        val = eval_periodic_symbol(k3_profile, cell, 3.0 + 0.5 * cell.R0)
-        assert val == pytest.approx(k3_profile(0.5), rel=1e-12)
-
-    @given(
-        st.floats(min_value=-0.45, max_value=0.45),
-        st.floats(min_value=-0.04, max_value=0.04),
-        st.integers(min_value=-10, max_value=10),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_exact_periodicity(self, x, y, shift):
-        profile = RadialProfile(coeffs=(22.4,))
-        cell = CellGeometry(R0=0.35, h=0.05)
-        z = complex(x, y)
-        a = eval_periodic_symbol(profile, cell, z)
-        b = eval_periodic_symbol(profile, cell, z + shift)
-        # exact up to the rounding of z + shift itself
-        assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestSerialization:
