@@ -319,8 +319,7 @@ def _disc_stage(
 
     M = 0 exactly when the grid folds to one point (S is the folded range times
     R0 > 1/4), which needs no expansion: G = I by orthonormality, and the stage
-    holds A_0 = compress(v b, E^T), b repeated for each pair, formed with the
-    columns in creation order, where BLAS takes its fast path.
+    holds A_0 = compress(v b, E^T), b repeated for each pair.
     """
     disc = build_cell_disc_quadrature(cell.R0, n_r, n_t)
     n_half, v = mirror_half(disc)
@@ -328,15 +327,13 @@ def _disc_stage(
     b = eval_cell_symbol(profile, cell, z)
     eta0 = 0.5 * (folded[0] + folded[-1])
     basis = build_basis(cell, eta0, K_modes, disc)
-    # the columns' (re, im) pairs on the half rule as rows, in decreasing |k|
-    # (_cell_moments): a view, since build_basis stores the columns of Q as
-    # the rows of its buffer
-    E = basis.Q[:n_half].T.view(float)[::-1]
+    # the columns' (re, im) pairs on the half rule as rows: a view, since
+    # build_basis stores the columns of Q as the rows of its buffer
+    E = basis.Q[:n_half].T.view(float)
     s = -2.0 * (folded - eta0) * cell.R0
     M = _chebyshev_terms(float(np.abs(s).max()))
     if M == 0:
-        A_0 = compress(v * np.repeat(b, 2), E[::-1].T)[::-1, ::-1]
-        return _DiscStage(basis, M, None, np.ascontiguousarray(A_0))
+        return _DiscStage(basis, M, None, compress(v * np.repeat(b, 2), E.T))
     # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
     # c_m = (2 - [m = 0]) / (M + 1) sum_j e^{s x_j} T_m(x_j)
     x_cheb = chebpts1(M + 1)
@@ -354,10 +351,10 @@ def _cell_moments(stage: _DiscStage, F: np.ndarray, y: np.ndarray):
     """One cell's moments in its cell-orthonormal basis: the (M + 1) x d^2 rows
     (A_cell, G_cell) of the flattened A_m and G_m (_disc_stage), or the d x d
     A_0 alone when M = 0.  F holds the basis on the cell's strip rule as
-    (re, im) rows, in the order of E's rows (below), each pair already scaled
-    by sqrt(2 w) of its node (w the rule's weight, doubled for the mirror
-    half; band_structures scales a batch at once), and y the rule's heights
-    (build_cell_strip_rules).
+    (re, im) rows, in build_basis' order like E's rows (_disc_stage), each
+    pair already scaled by sqrt(2 w) of its node (w the rule's weight, doubled
+    for the mirror half; band_structures scales a batch at once), and y the
+    rule's heights (build_cell_strip_rules).
 
     The strip adds S = F F^T to the Gram matrix of E, so the cell Gram matrix
     is I + S = R^T R for an upper triangular R, and E R^-1 is orthonormal on
@@ -393,28 +390,26 @@ def _cell_moments(stage: _DiscStage, F: np.ndarray, y: np.ndarray):
     the |k| of their modes (their strip norms at R0 0.2501, K 24, h 0.1 run
     from 0.7 at k 0 to 3e6 at |k| 24), so the columns are taken in decreasing
     |k|: the reverse of the order in which build_basis creates them (k = 0,
-    +1, -1, ..., +K, -K).  That is the order of the rows of E (_disc_stage)
-    and of F (band_structures), so every cell is factored alike, alone or in
-    any h-list.  The case above is then within 1e-14 of a basis
+    +1, -1, ..., +K, -K), which is the order of F's rows.  That order lives
+    in the QR alone: it factors F's rows reversed, and the rows of its R^-1
+    are put back in creation order, so every cell is factored alike, alone or
+    in any h-list.  The case above is then within 1e-14 of a basis
     orthonormalized on the whole cell, itself within 5e-14 of a high-precision
     solve; in creation order the bands on that strip were off by 3.6e-11 at
     K 32.  Against that basis the bands agree to 1e-12 up to K 24 for every
     R0, and on the longest strip (R0 0.2501, eta 0) to 1e-11 at K 32 and 1e-9
     at K 40: the rounding of E on the strip (3e12) and of the QR that scales it
-    back costs digits there.  The operand [F^T; I] is formed as its transpose
-    [F, I], whose transpose is column-major, the layout LAPACK factors, so
-    numpy hands it over with a plain copy.
+    back costs digits there.  The operand [F'^T; I], F' the reversed rows of
+    F, is formed as its transpose [F', I], whose transpose is column-major, the
+    layout LAPACK factors, so numpy hands it over with a plain copy.
     """
     d, M = stage.basis.dim_eff, stage.M
-    # a copy with rows in memory order: numpy's matmul hands BLAS no view
-    # with a negative stride, such as band_structures' reversed rows
-    F = np.ascontiguousarray(F)
     S = F @ F.T
     if 1.0 + np.trace(S) <= _CHOLESKY_BOUND:
         S[np.diag_indices(d)] += 1.0
         R_inv = np.linalg.inv(np.linalg.cholesky(S)).T
     else:
-        R_inv = np.linalg.inv(np.linalg.qr(np.hstack([F, np.eye(d)]).T, mode="r"))
+        R_inv = np.linalg.inv(np.linalg.qr(np.hstack([F[::-1], np.eye(d)]).T, mode="r"))[::-1]
     if M == 0:
         return R_inv.T @ stage.moments @ R_inv
     Fr = (R_inv.T @ F).reshape(d, y.size, -1).transpose(1, 0, 2)
@@ -486,10 +481,10 @@ def band_structures(
         cut = cells[start : start + _STRIP_BATCH]
         heights = [min(n_strip, _strip_heights(K_modes, c.R0, c.h)) for c in cut]
         nodes, weights = build_cell_strip_rules(cut, n_strip, heights=heights)
-        # the basis on the batch's strips, (re, im) pairs as rows in decreasing
-        # |k| (_cell_moments), scaled in place by sqrt(2 w) per node; each cell
-        # takes its block of n_strip n_y nodes
-        F = stage.basis.evaluate(nodes).T.view(float)[::-1]
+        # the basis on the batch's strips, (re, im) pairs as rows, scaled in
+        # place by sqrt(2 w) per node; each cell takes its block of n_strip n_y
+        # nodes
+        F = stage.basis.evaluate(nodes).T.view(float)
         F *= np.repeat(np.sqrt(2.0 * weights), 2)
         end = 0
         for n_y in heights:
@@ -538,17 +533,16 @@ def _default_merge_tol(bands: BandStructure) -> float:
 
 def essential_spectrum(
     bands: BandStructure,
-    merge_tol: float | None = None,
     zero_tol: float = 0.0,
 ) -> list[tuple[float, float]]:
-    """Union of band values merged into closed intervals.
+    """Union of band values merged into closed intervals, values closer than
+    _default_merge_tol joined into one.
 
     Values within ``zero_tol`` of 0 are snapped to the 0-cluster, which is
     always present (each fiber operator is compact, so its eigenvalues
     accumulate at 0 regardless of truncation).
     """
-    if merge_tol is None:
-        merge_tol = _default_merge_tol(bands)
+    merge_tol = _default_merge_tol(bands)
     vals = bands.lambdas.ravel().astype(float)
     vals = np.where(np.abs(vals) < zero_tol, 0.0, vals)
     vals = np.sort(np.concatenate([vals, [0.0]]))

@@ -23,7 +23,6 @@ __all__ = [
     "build_disc_quadrature",
     "build_cell_quadrature",
     "build_cell_disc_quadrature",
-    "build_cell_strip_quadrature",
     "build_cell_strip_rules",
     "compress",
     "contains",
@@ -183,15 +182,13 @@ def build_cell_disc_quadrature(
 
 
 def build_cell_strip_rules(
-    cells: Sequence[CellGeometry], n_strip: int = 16, heights: Sequence[int] | None = None
+    cells: Sequence[CellGeometry], n_strip: int, heights: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rules of ``build_cell_strip_quadrature`` for many cells in one
-    vectorized pass, each with its own number of heights: 1-D nodes and
-    weights holding the cells' rules one after another, cell i's rule
-    ``heights[i]`` rows of ``n_strip`` nodes (``heights`` defaults to
-    ``n_strip`` for every cell, the square rule).  Every operation is
-    elementwise, so each cell's block is bitwise the rule the cell gets on
-    its own at the same number of heights, in any cell order.
+    """Strip rules for many cells in one vectorized pass, each with its own
+    number of heights: 1-D nodes and weights holding the cells' rules one
+    after another, cell i's rule ``heights[i]`` rows of ``n_strip`` nodes.
+    Every operation is elementwise, so each cell's block is bitwise the rule
+    the cell gets on its own at the same number of heights, in any cell order.
 
     The rule covers the right half (Re z > 0) of the strip part of
     ``build_cell_quadrature``: only ``{z in S_h : Re z > sqrt(R0^2 - (Im z)^2)}``,
@@ -204,7 +201,6 @@ def build_cell_strip_rules(
     """
     if n_strip < 1:
         raise ValueError(f"n_strip must be >= 1, got {n_strip}")
-    heights = [n_strip] * len(cells) if heights is None else list(heights)
     if min(heights, default=1) < 1:
         raise ValueError(f"every cell needs at least one height, got {heights}")
     # one entry per height row: its cell's h and R0**2 and its Gauss node on
@@ -219,13 +215,6 @@ def build_cell_strip_rules(
     return (x + 1j * y[:, None]).ravel(), (wx * wy[:, None]).ravel()
 
 
-def build_cell_strip_quadrature(cell: CellGeometry, n_strip: int = 16) -> QuadratureRule:
-    """The right half (Re z > 0) of the strip part of ``build_cell_quadrature``:
-    the one-cell case of ``build_cell_strip_rules``, which describes the rule,
-    at ``n_strip`` heights (``n_strip**2`` nodes)."""
-    return QuadratureRule(*build_cell_strip_rules([cell], n_strip))
-
-
 def build_cell_quadrature(
     cell: CellGeometry,
     n_r: int = 24,
@@ -234,7 +223,7 @@ def build_cell_quadrature(
 ) -> QuadratureRule:
     """Quadrature over the full cell: the disc rule of
     ``build_cell_disc_quadrature`` plus the strip-minus-lens rule of
-    ``build_cell_strip_quadrature`` and its mirror image.
+    ``build_cell_strip_rules`` at ``n_strip`` heights and its mirror image.
 
     The cell is symmetric under the mirror z -> -conj(z), and so is the
     rule, in a fixed order: first the nodes with Re z > 0 (the disc's, then
@@ -242,12 +231,12 @@ def build_cell_quadrature(
     first block, bitwise and in the same order, with the same weights (see
     ``mirror_half``).  ``n_t`` must be even.
     """
-    strip = build_cell_strip_quadrature(cell, n_strip)
+    strip_nodes, strip_weights = build_cell_strip_rules([cell], n_strip, [n_strip])
     disc = build_cell_disc_quadrature(cell.R0, n_r, n_t)
     n_off = int(np.count_nonzero(disc.nodes.real > 0.0))
     axis = slice(n_off, disc.nodes.size - n_off)
-    half_nodes = np.concatenate([disc.nodes[:n_off], strip.nodes])
-    half_weights = np.concatenate([disc.weights[:n_off], strip.weights])
+    half_nodes = np.concatenate([disc.nodes[:n_off], strip_nodes])
+    half_weights = np.concatenate([disc.weights[:n_off], strip_weights])
     return QuadratureRule(
         np.concatenate([half_nodes, disc.nodes[axis], -half_nodes.conj()]),
         np.concatenate([half_weights, disc.weights[axis], half_weights]),

@@ -656,11 +656,6 @@ class TestEssentialSpectrum:
         comps = essential_spectrum(small_bands)
         assert any(lo <= 0.0 <= hi for lo, hi in comps)
 
-    def test_merge_monotone(self, small_bands):
-        n_fine = len(essential_spectrum(small_bands, merge_tol=1e-6))
-        n_coarse = len(essential_spectrum(small_bands, merge_tol=0.05))
-        assert n_coarse <= n_fine
-
     def test_grid_order_irrelevant(self, k3_profile):
         # the default merge tolerance differences the rows in eta order: in
         # grid order a permuted grid inflated it from 3.2e-4 to 6.7e-3

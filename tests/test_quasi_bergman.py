@@ -131,7 +131,9 @@ class TestBuildBasis:
         n_r, n_t, n_strip = band_solver._quadrature_orders(K, R0)
         cell = CellGeometry(R0=R0, h=0.1)
         basis = build_basis(cell, np.pi / 2, K, build_cell_disc_quadrature(R0, n_r, n_t))
-        strips, _ = build_cell_strip_rules([cell, CellGeometry(R0=R0, h=0.002)], n_strip)
+        strips, _ = build_cell_strip_rules(
+            [cell, CellGeometry(R0=R0, h=0.002)], n_strip, [n_strip, n_strip]
+        )
         off_grid = rng.uniform(-0.5, 0.5, 300) + 1j * rng.uniform(-0.45, 0.45, 300)
         for z in (strips, off_grid):
             V = basis.evaluate(z)
