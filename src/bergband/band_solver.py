@@ -25,6 +25,7 @@ from .geometry import (
     build_cell_quadrature,
     build_cell_strip_rules,
     compress,
+    conjugate_half,
     mirror_half,
 )
 from .quasi_bergman import TwistedBasis, build_basis
@@ -125,13 +126,14 @@ def _whitening(G: np.ndarray) -> np.ndarray:
 def _fiber_bands(c: np.ndarray, A_cell: np.ndarray, G_cell: np.ndarray, N_keep: int):
     """Band rows of one cell's fibers: fiber i is A x = lambda G x, with A and G
     the d x d matrices c[i] @ A_cell and c[i] @ G_cell, solved as eigvalsh(L^-1
-    A L^-T), G = L L^T.  L^-1 is formed explicitly: cond G <= e^{2 |s|} < e^pi,
-    so cond L < e^(pi/2) < 4.9 and the inverse costs no accuracy.  It is formed
-    by forward substitution for all fibers at once (_whitening), not by
-    np.linalg.inv, which would LU-factor the already triangular L with pivoting
-    and then solve for d right-hand sides; substitution inverts a triangular
-    matrix stably with neither (Du Croz and Higham, IMA J. Numer. Anal. 12
-    (1992) 1-19), in about half the time at d 21 and 33."""
+    A L^-T), G = L L^T.  L^-1 is formed explicitly: cond G <= e^{2 |s|}, and
+    |s| <= 2 pi R0 < pi (_disc_stage), so cond L <= e^{2 pi R0} < e^pi ~ 23
+    (21.7 at R0 0.49), and the inverse costs at most that factor in rounding.
+    It is formed by forward substitution for all fibers at once (_whitening),
+    not by np.linalg.inv, which would LU-factor the already triangular L with
+    pivoting and then solve for d right-hand sides; substitution inverts a
+    triangular matrix stably with neither (Du Croz and Higham, IMA J. Numer.
+    Anal. 12 (1992) 1-19), in about half the time at d 21 and 33."""
     n, d = len(c), math.isqrt(A_cell.shape[1])
     # a vector-matrix product per fiber: one GEMM c @ A_cell rounds differently
     A = (c[:, None] @ A_cell).reshape(n, d, d)
@@ -287,7 +289,8 @@ def _disc_stage(
     """Everything of band_structures that does not depend on h: the disc rule
     (geometry.build_cell_disc_quadrature), the symbol b (zero on the strip), and
     the basis E, orthonormalized on the disc once (build_basis, "Vandermonde
-    with Arnoldi") at the middle eta0 of the folded range, with its moments.
+    with Arnoldi") at eta0, with its moments.  eta0 is 0 when the grid folds to
+    more than one point, and that point when it folds to one.
 
     The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the eta-fiber
     space, so each fiber is A x = lambda G x with the d x d matrices
@@ -303,11 +306,11 @@ def _disc_stage(
     M is the smallest degree with 2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S,
     S = max |s| over the folded grid: the left side bounds the series tail,
     and e^-S keeps the error at rounding level against the smallest eigenvalue
-    of G, at least e^-|s|.  The folded range lies in [0, pi] and eta0 is its
-    middle, so R0 < 1/2 gives S < pi/2 and M <= 17 (13, 15 and 17 on
-    linspace(-pi, pi, 65) at R0 0.2501, 0.35 and 0.49).  The c_m interpolate
-    e^{s x} at numpy's Chebyshev points (chebpts1).  The disc moments are
-    formed here in E; _cell_moments moves them to Q0.
+    of G, at least e^-|s|.  The folded range lies in [0, pi] and eta0 = 0, so
+    R0 < 1/2 gives S = 2 R0 max |eta| < pi and M <= 22 (17, 19, 20 and 22 on
+    linspace(-pi, pi, 65) at R0 0.2501, 0.35, 0.42 and 0.49).  The c_m
+    interpolate e^{s x} at numpy's Chebyshev points (chebpts1).  The disc
+    moments are formed here in E; _cell_moments moves them to Q0.
 
     Every moment is real symmetric: the cell, the rule, b and x are mirror
     symmetric (z -> -conj(z)) and every column of E is mirror-real
@@ -317,15 +320,32 @@ def _disc_stage(
     takes those once per node (every other entry of mirror_half's v) and forms
     one Khatri-Rao column per node.
 
-    M = 0 exactly when the grid folds to one point (S is the folded range times
-    R0 > 1/4), which needs no expansion: G = I by orthonormality, and the stage
-    holds A_0 = compress(v b, E^T), b repeated for each pair.
+    The disc, its rule and b are also symmetric under z -> conj(z), which maps
+    the half rule onto itself and x to -x, and T_m(-x) = (-1)^m T_m(x).  At
+    eta0 = 0 the fiber space span{e^{2 pi i k z}} is closed under the reflection
+    (P f)(z) = f(-z), and on the half rule (P q)(z) = conj q(conj z), since every
+    column is mirror-real.  The columns of each Arnoldi level, +k and -k, span
+    with the earlier levels a P-invariant space, so P q_l = sum_k Pi[k, l] q_k
+    with Pi orthogonal, symmetric and block diagonal in the levels
+    (_reflection).  So a moment's sum over the nodes below the real axis is
+    (-1)^m Pi X_m+ Pi^T, where X_m+ is its sum over the nodes above it and on
+    it, those at half weight (geometry.conjugate_half), and every moment is
+    X_m = X_m+ + (-1)^m Pi X_m+ Pi^T: _chebyshev_moments runs on half the
+    nodes.  Its cost goes as the node count times M + 1, so this outweighs the
+    larger twist from eta0 = 0 (at the sweep size, 2400 nodes at M 19 against
+    the 4704 of the half rule at M 15 from the middle of [0, pi]).  A chain
+    that CUTOFF stopped alone leaves its level unpaired, a span not closed
+    under P; such a basis, found from its signs, sums over the whole half rule.
+
+    M = 0 exactly when the grid folds to one point (S is twice its largest
+    |eta| times R0 > 1/4), which needs no expansion: G = I by orthonormality,
+    and the stage holds A_0 = compress(v b, E^T), b repeated for each pair.
     """
     disc = build_cell_disc_quadrature(cell.R0, n_r, n_t)
     n_half, v = mirror_half(disc)
     z = disc.nodes[:n_half]
     b = eval_cell_symbol(profile, cell, z)
-    eta0 = 0.5 * (folded[0] + folded[-1])
+    eta0 = folded[0] if folded.size == 1 else 0.0
     basis = build_basis(cell, eta0, K_modes, disc)
     # the columns' (re, im) pairs on the half rule as rows: a view, since
     # build_basis stores the columns of Q as the rows of its buffer
@@ -339,8 +359,50 @@ def _disc_stage(
     x_cheb = chebpts1(M + 1)
     c = np.exp(np.outer(s, x_cheb)) @ chebvander(x_cheb, M) * (2.0 / (M + 1))
     c[:, 0] *= 0.5
-    moments = _chebyshev_moments(E, v[::2], b, z.imag / cell.R0, M)
-    return _DiscStage(basis, M, c, moments.reshape(-1, basis.dim_eff, basis.dim_eff))
+    d, sign = basis.dim_eff, basis.sign
+    if d % 2 and np.all(sign[1::2] == 1) and np.all(sign[2::2] == -1):
+        upper, lower, v_up = conjugate_half(disc)
+        E_up = E[:, 2 * upper.start : 2 * upper.stop]
+        x = z[upper].imag / cell.R0
+        moments = _chebyshev_moments(E_up, v_up, b[upper], x, M).reshape(-1, d, d)
+        Pi = _reflection(E, upper, lower, v_up)
+        parity = np.tile((-1.0) ** np.arange(M + 1), 2)[:, None, None]
+        moments += parity * (Pi @ moments @ Pi.T)
+    else:  # a level left unpaired: the span is not closed under P
+        moments = _chebyshev_moments(E, v[::2], b, z.imag / cell.R0, M).reshape(-1, d, d)
+    return _DiscStage(basis, M, c, moments)
+
+
+def _reflection(E: np.ndarray, upper: slice, lower: tuple[slice, ...], v_up: np.ndarray):
+    """The d x d matrix Pi[k, l] = <q_k, P q_l> of _disc_stage, (P q)(z) = q(-z),
+    for rows E of the basis on the half rule (re, im pairs) and the upper part
+    of geometry.conjugate_half.  On the half rule P q(z) = conj q(conj z), so
+    Pi[k, l] = sum_half v Re(q_k(z) q_l(conj z)) = B[k, l] + B[l, k], with B the
+    sum over the upper part of v_up Re(q_k(z) q_l(conj z)): each upper node
+    against its conjugate, a slice of the half rule.  Pi is formed only on its
+    diagonal blocks, one per Arnoldi level: 1 x 1 for the seed, then 2 x 2 for
+    each pair of columns +k, -k."""
+    d = E.shape[0]
+    levels = (d - 1) // 2
+    # re_k re_l - im_k im_l: the im entries of each pair weigh -v_up
+    w = np.repeat(v_up, 2)
+    w[1::2] *= -1.0
+    top = E[:, 2 * upper.start : 2 * upper.stop] * w
+    seed, blocks = 0.0, np.zeros((levels, 2, 2))
+    start = 0
+    for low in lower:
+        n = 2 * (low.stop - low.start)
+        a, b = top[:, start : start + n], E[:, 2 * low.start : 2 * low.stop]
+        start += n
+        seed += a[0] @ b[0]
+        blocks += a[1:].reshape(levels, 2, n) @ b[1:].reshape(levels, 2, n).transpose(0, 2, 1)
+    level = np.arange(levels)
+    diagonal = np.zeros((levels, 2, levels, 2))
+    diagonal[level, :, level, :] = blocks + blocks.transpose(0, 2, 1)
+    Pi = np.zeros((d, d))
+    Pi[0, 0] = 2.0 * seed
+    Pi[1:, 1:] = diagonal.reshape(d - 1, d - 1)
+    return Pi
 
 
 # The largest 1 + tr S (_cell_moments) at which I + S is Cholesky-factored
@@ -369,11 +431,11 @@ def _cell_moments(stage: _DiscStage, F: np.ndarray, y: np.ndarray):
     R^T is the Cholesky factor of I + S, which is backward stable to rounding
     at that condition (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., 10.1).  Every h of K 10, R0 0.35 takes this side (1 + tr S is
-    21.4 at h 0.1 and falls with h), and so does K 16, h 0.01 (7.2).  Near
+    21.3 at h 0.1 and falls with h), and so does K 16, h 0.01 (7.2).  Near
     R0 1/4 and at high K the QR below is taken: 1 + tr S is 1.2e5 at R0 0.26,
     K 10, h 0.1.  The bound is 100, not ~1e4: at R0 0.2501, h 0.002
     (1 + tr S = 4.6e3) the Cholesky factor left G_0 off the identity by
-    2.3e-13, the QR below by 1.1e-14.  The side depends only on the cell's own
+    2.0e-13, the QR below by 2.7e-15.  The side depends only on the cell's own
     strip values, so a cell takes the same side alone or in any h-list.
 
     Above the bound R comes from a QR factorization of F's rows stacked on I

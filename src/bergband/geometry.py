@@ -25,6 +25,7 @@ __all__ = [
     "build_cell_disc_quadrature",
     "build_cell_strip_rules",
     "compress",
+    "conjugate_half",
     "contains",
     "mirror_half",
 ]
@@ -154,15 +155,21 @@ def build_cell_disc_quadrature(
     n_r: int = 24,
     n_t: int = 48,
 ) -> QuadratureRule:
-    """The disc part of ``build_cell_quadrature``, mirror-ordered on its own.
+    """The disc part of ``build_cell_quadrature``, mirror-ordered on its own
+    and conjugate-ordered within its half.
 
     The polar rule of ``build_disc_quadrature``, split radially at ``R0/2``
     (the synthesized symbols are supported in ``|z| <= R0/2`` and jump at
     that circle), listed as: the nodes with Re z > 0, then those with
     Re z = 0 (exact zeros), then the mirrors -conj(z) of the first block,
     bitwise and in the same order, with the same weights (``mirror_half``).
-    It depends on R0 alone, not on the ligament.  The angle pi - theta must
-    be on the grid with every theta, so ``n_t`` must be even.
+    Within the first two blocks every node below the real axis is the exact
+    conjugate of one above it, with the same weight (``conjugate_half``):
+    the Re z > 0 block is the conjugates of its upper nodes, then its nodes
+    on the real axis, then those upper nodes (Im z > 0); the Re z = 0 block
+    is its upper nodes, then their conjugates.  It depends on R0 alone, not
+    on the ligament.  The angle pi - theta must be on the grid with every
+    theta, so ``n_t`` must be even.
     """
     if n_t % 2:
         raise ValueError(f"n_t must be even for a mirror-symmetric cell rule, got n_t={n_t}")
@@ -171,13 +178,15 @@ def build_cell_disc_quadrature(
     weights = disc.weights.reshape(-1, n_t)
     # the side of angle k is decided in integers: cos(pi / 2) is not 0 in floats
     k4 = 4 * np.arange(n_t)
-    right = (k4 < n_t) | (k4 > 3 * n_t)
-    on_axis = (k4 == n_t) | (k4 == 3 * n_t)
-    right_nodes = nodes[:, right].ravel()
-    right_weights = weights[:, right].ravel()
+    upper = (0 < k4) & (k4 < n_t)
+    up_nodes, up_weights = nodes[:, upper].ravel(), weights[:, upper].ravel()
+    axis_nodes = 1j * nodes[:, k4 == n_t].imag.ravel()
+    axis_weights = weights[:, k4 == n_t].ravel()
+    right_nodes = np.concatenate([up_nodes.conj(), nodes[:, 0], up_nodes])
+    right_weights = np.concatenate([up_weights, weights[:, 0], up_weights])
     return QuadratureRule(
-        np.concatenate([right_nodes, 1j * nodes[:, on_axis].imag.ravel(), -right_nodes.conj()]),
-        np.concatenate([right_weights, weights[:, on_axis].ravel(), right_weights]),
+        np.concatenate([right_nodes, axis_nodes, axis_nodes.conj(), -right_nodes.conj()]),
+        np.concatenate([right_weights, axis_weights, axis_weights, right_weights]),
     )
 
 
@@ -274,6 +283,54 @@ def mirror_half(rule: QuadratureRule) -> tuple[int, np.ndarray]:
     v = w[:n_half].copy()
     v[:n_off] *= 2.0
     return n_half, np.repeat(v, 2)
+
+
+def conjugate_half(rule: QuadratureRule) -> tuple[slice, tuple[slice, ...], np.ndarray]:
+    """The upper part of the half rule of ``mirror_half`` on a rule from
+    ``build_cell_disc_quadrature``, the slices holding its conjugates, and
+    the weights that integrate over the half rule from it.
+
+    The half rule is closed under the reflection z -> conj(z), and it lists
+    the conjugates of its Re z > 0 upper nodes, its real nodes, those upper
+    nodes, its Re z = 0 upper nodes and their conjugates, each block in the
+    same order as the block it conjugates, with the same weights.  So the
+    real nodes and the nodes with Im z > 0 are one slice ``upper`` of it,
+    and the nodes of the slices ``lower`` of the half rule, taken one after
+    another, are exactly conj(z) for the nodes z of ``upper`` in order (the
+    real nodes are their own conjugates).  For any g, the sum of v g over
+    the half rule (v of ``mirror_half``, one entry per node) is the sum over
+    ``upper`` of v_up (g(z) + g(conj z)), where v_up is v halved on the real
+    nodes; returns ``upper``, ``lower`` and v_up, one entry per node.
+
+    Raises ValueError if the half rule is not conjugate-ordered.
+    """
+    n_half, v = mirror_half(rule)
+    z, w = rule.nodes[:n_half], rule.weights[:n_half]
+    n_off = int(np.count_nonzero(z.real > 0.0))
+    n_up = int(np.count_nonzero((z.real > 0.0) & (z.imag > 0.0)))
+    n_axis = int(np.count_nonzero((z.real == 0.0) & (z.imag > 0.0)))
+    n_real = n_off - 2 * n_up
+    up, axis = slice(n_up + n_real, n_off), slice(n_off, n_off + n_axis)
+    lower = (slice(n_up, n_up + n_real), slice(0, n_up), slice(n_off + n_axis, n_half))
+    if not (
+        n_real >= 0
+        and n_off + 2 * n_axis == n_half
+        and np.all(z.imag[lower[0]] == 0.0)
+        and np.all(z.imag[up] > 0.0)
+        and np.all(z.imag[axis] > 0.0)
+        and all(
+            np.array_equal(z[low], z[top].conj()) and np.array_equal(w[low], w[top])
+            for low, top in zip(lower[1:], (up, axis))
+        )
+    ):
+        raise ValueError(
+            "quadrature rule is not conjugate-ordered under z -> conj(z): "
+            "build it with build_cell_disc_quadrature and an even n_t"
+        )
+    upper = slice(n_up, n_half - n_axis)
+    v_up = v[2 * n_up : 2 * upper.stop : 2].copy()
+    v_up[:n_real] *= 0.5
+    return upper, lower, v_up
 
 
 def compress(weights: np.ndarray, Q: np.ndarray) -> np.ndarray:

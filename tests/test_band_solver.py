@@ -10,9 +10,10 @@ from bergband.geometry import (
     CellGeometry,
     build_cell_quadrature,
     compress,
+    mirror_half,
 )
 from bergband.pipeline import RunConfig
-from bergband.symbols import RadialProfile, TargetSpec, synthesize_profile
+from bergband.symbols import RadialProfile, TargetSpec, eval_cell_symbol, synthesize_profile
 from bergband.disc_spectrum import compute_disc_spectrum
 from bergband.quasi_bergman import TwistedBasis, build_basis
 from bergband.band_solver import (
@@ -170,16 +171,18 @@ class TestComputeBands:
     def test_real_nodes_untwisted(self, k3_profile):
         # n_t = 2 (angles 0 and pi) and n_strip = 1 put every node on the
         # real axis, where the twist weight is 1 for every eta: each fiber
-        # is the eta0 fiber.  The grid does not fold to one point, so the
-        # twist is expanded (M >= 1) and the fibers agree to rounding only.
+        # is the eta0 fiber, the grid's row at eta0 = 0.  The grid does not
+        # fold to one point, so the twist is expanded (M >= 1) and the
+        # fibers agree to rounding only
         cell = CellGeometry(R0=0.35, h=0.05)
         rule = dict(K_modes=2, N_keep=3, n_r=4, n_t=2, n_strip=1)
         folded, _ = band_solver._fold(np.array([-1.0, 0.0, 1.0]))
-        assert band_solver._disc_stage(cell, k3_profile, folded, 2, 4, 2).M >= 1
+        stage = band_solver._disc_stage(cell, k3_profile, folded, 2, 4, 2)
+        assert stage.M >= 1 and stage.basis.eta == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bands = compute_bands(cell, k3_profile, [-1.0, 0.0, 1.0], **rule)
-            at_eta0 = compute_bands(cell, k3_profile, [0.5], **rule).lambdas[0]
+        at_eta0 = bands.lambdas[1]
         err = np.max(np.abs(bands.lambdas - at_eta0))
         assert err <= 1e-15 * np.max(np.abs(at_eta0))
 
@@ -283,7 +286,7 @@ class TestBandStructures:
         # within 5e-14 of a high-precision solve there).  A QR with the unit
         # rows on top was off by 8.5e-12 at K 24 and 2.5e-8 at K 40.  The
         # twisted grid, the path of bergband run (M > 0), reads at most
-        # 1.1e-13, 1.0e-12 and 4.6e-11 at K 24, 32 and 40.
+        # 2.6e-13, 1.2e-12 and 4.2e-11 at K 24, 32 and 40.
         profile = synthesize_profile(list(targets))
         assert self._worst_error(profile, 0.2501, K, grid, range(len(grid))) <= bound
 
@@ -369,7 +372,7 @@ class TestBandStructures:
         [
             # the h-scan bench's list: 1 + ||F||^2 runs from 21.3 down to 1.26
             (0.35, 10, np.geomspace(0.1, 0.002, 24), [0.3], {}, 0),
-            # the README run's h-loop: 21.4, 8.1 and 4.3
+            # the README run's h-loop: 21.3, 8.1 and 4.3
             (0.35, 10, (0.1, 0.05, 0.025), np.linspace(-np.pi, np.pi, 65), {}, 0),
             # the sweep bench's size: 7.2
             (0.35, 16, (0.01,), np.linspace(-np.pi, np.pi, 65), dict(n_r=48, n_t=96, n_strip=32), 0),
@@ -416,10 +419,10 @@ class TestBandStructures:
     def test_cell_gram_is_identity(self, count_calls, k3_profile, R0, h):
         # G_0 = Q0^H diag(w) Q0 is the Gram matrix on the whole cell of the
         # basis the strip's factorization makes orthonormal.  The Cholesky
-        # side (R0 0.35 and 0.49) reads at most 1.2e-15; the worst defect,
-        # 5.7e-14, is the QR side's on the longest strip (R0 0.2501, h 0.1).
+        # side (R0 0.35 and 0.49) reads at most 1.7e-15; the worst defect,
+        # 3.1e-14, is the QR side's on the longest strip (R0 0.2501, h 0.1).
         # At h 0.002 there (1 + ||F||^2 = 4.6e3) a Cholesky factor read
-        # 2.3e-13, the QR 1.1e-14: the bound keeps that cell on the QR
+        # 2.0e-13, the QR 2.7e-15: the bound keeps that cell on the QR
         calls = count_calls(band_solver, "_fiber_bands")
         cell = CellGeometry(R0=R0, h=h)
         bands = compute_bands(cell, k3_profile, np.linspace(-np.pi, np.pi, 65))
@@ -431,25 +434,77 @@ class TestBandStructures:
         "R0, grid, M",
         [
             pytest.param(R0, np.linspace(-np.pi, np.pi, 65), M, id=f"folded-65-{R0}")
-            for R0, M in [(0.2501, 13), (0.35, 15), (0.49, 17), (0.4999, 17)]
+            for R0, M in [(0.2501, 17), (0.35, 19), (0.49, 22), (0.4999, 22)]
         ]
         + [
             pytest.param(0.35, [0.7], 0, id="single"),
             pytest.param(0.35, [-0.7, 0.7], 0, id="pair"),
-            pytest.param(0.35, [0.0, 1e-3], 3, id="narrow"),
+            pytest.param(0.35, [0.0, 1e-3], 4, id="narrow"),
+            # a narrow grid far from 0 pays the whole twist from eta0 = 0
+            pytest.param(0.35, np.linspace(-np.pi, np.pi, 65)[:3], 19, id="narrow-far"),
         ],
     )
     def test_chebyshev_degree(self, k3_profile, R0, grid, M):
-        # M depends only on R0 and the folded grid, with no strip: the
-        # default grid folds to [0, pi], the widest range, so M <= 17 for
-        # every R0 < 1/2; M = 0 exactly when the grid folds to one point,
-        # since S is the folded range times R0 > 1/4
+        # M depends only on R0 and the folded grid, with no strip: the twist
+        # starts at eta0 = 0 and the default grid folds to [0, pi], the
+        # widest range, so S = 2 pi R0 < pi and M <= 22 for every R0 < 1/2;
+        # M = 0 exactly when the grid folds to one point, since S is twice
+        # its largest |eta| times R0 > 1/4
         cell = CellGeometry(R0=R0, h=0.05)
         n_r, n_t, _ = band_solver._quadrature_orders(10, R0)
         folded, _ = band_solver._fold(np.asarray(grid, dtype=float))
         stage = band_solver._disc_stage(cell, k3_profile, folded, 10, n_r, n_t)
         assert stage.M == M
         assert (stage.c is None) == (M == 0)
+
+    @pytest.mark.parametrize("K", [2, 10, 16])
+    @pytest.mark.parametrize("R0", [0.2501, 0.35, 0.49])
+    def test_reflected_moments_match_whole_half(self, count_calls, k3_profile, R0, K):
+        # at eta0 = 0 the disc moments are summed over the upper half-disc and
+        # reflected by z -> -z; against the kernel on the whole half rule
+        reflections = count_calls(band_solver, "_reflection")
+        cell = CellGeometry(R0=R0, h=0.05)
+        n_r, n_t, _ = band_solver._quadrature_orders(K, R0)
+        folded, _ = band_solver._fold(np.linspace(-np.pi, np.pi, 65))
+        stage = band_solver._disc_stage(cell, k3_profile, folded, K, n_r, n_t)
+        assert len(reflections) == 1 and stage.basis.eta == 0.0
+        disc = stage.basis.quad
+        n_half, v = mirror_half(disc)
+        z = disc.nodes[:n_half]
+        E = stage.basis.Q[:n_half].T.view(float)
+        b = eval_cell_symbol(k3_profile, cell, z)
+        ref = band_solver._chebyshev_moments(E, v[::2], b, z.imag / R0, stage.M)
+        d = stage.basis.dim_eff
+        moments = stage.moments.reshape(-1, d * d)
+        assert np.max(np.abs(moments - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_unpaired_basis_sums_the_whole_half(self, monkeypatch, k3_profile):
+        # n_r 2, n_t 2 keeps 8 of the 21 columns at K 10: the +4 column has no
+        # -4 partner, so the span is not closed under z -> -z and the moments
+        # are summed over the whole half rule.  Each fiber against its pencil
+        # formed directly on the cell rule, with the exact twist weight, at
+        # the |eta| it is solved at: this span is not closed under conjugation
+        # either, so the pencils at eta and -eta differ
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an unpaired basis must not be reflected")
+
+        monkeypatch.setattr(band_solver, "_reflection", forbidden)
+        cell = CellGeometry(R0=0.35, h=0.05)
+        orders = dict(n_r=2, n_t=2, n_strip=2)
+        etas = np.linspace(-np.pi, np.pi, 9)
+        bands = compute_bands(cell, k3_profile, etas, K_modes=10, N_keep=4, **orders)
+        folded, _ = band_solver._fold(etas)
+        basis = band_solver._disc_stage(cell, k3_profile, folded, 10, 2, 2).basis
+        assert basis.eta == 0.0 and basis.dim_eff == bands.dim_eff == 8
+        quad = build_cell_quadrature(cell, **orders)
+        Q = basis.evaluate(quad.nodes)
+        b = eval_cell_symbol(k3_profile, cell, quad.nodes)
+        for i, eta in enumerate(etas):
+            t = quad.weights * np.exp(-2.0 * abs(eta) * quad.nodes.imag)
+            L_inv = np.linalg.inv(np.linalg.cholesky(compress(t, Q)))
+            ev = np.linalg.eigvalsh(L_inv @ compress(b * t, Q) @ L_inv.conj().T)
+            ref = ev[np.argsort(-np.abs(ev), kind="stable")][: bands.N_keep]
+            assert np.max(np.abs(bands.lambdas[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _full_heights(monkeypatch):

@@ -125,19 +125,22 @@ class TestBuildBasis:
     @pytest.mark.parametrize("K", [10, 24, 32])
     def test_evaluate_matches_complex_replay(self, rng, K, R0):
         # the real in-place replay against the complex recurrence, on the disc
-        # basis band_structures builds (eta0 pi/2, the default grid's middle):
-        # on the strips of h 0.1 and 0.002, and off the grid up to |Im z| 0.45,
-        # where the columns are largest
+        # bases band_structures builds (eta0 0 for a grid of several |eta|,
+        # and pi/2 as one single-fiber case): on the strips of h 0.1 and
+        # 0.002, and off the grid up to |Im z| 0.45, where the columns are
+        # largest
         n_r, n_t, n_strip = band_solver._quadrature_orders(K, R0)
         cell = CellGeometry(R0=R0, h=0.1)
-        basis = build_basis(cell, np.pi / 2, K, build_cell_disc_quadrature(R0, n_r, n_t))
+        disc = build_cell_disc_quadrature(R0, n_r, n_t)
         strips, _ = build_cell_strip_rules(
             [cell, CellGeometry(R0=R0, h=0.002)], n_strip, [n_strip, n_strip]
         )
         off_grid = rng.uniform(-0.5, 0.5, 300) + 1j * rng.uniform(-0.45, 0.45, 300)
-        for z in (strips, off_grid):
-            V = basis.evaluate(z)
-            assert np.max(np.abs(V - complex_replay(basis, z))) <= 1e-13 * np.max(np.abs(V))
+        for eta0 in (0.0, np.pi / 2):
+            basis = build_basis(cell, eta0, K, disc)
+            for z in (strips, off_grid):
+                V = basis.evaluate(z)
+                assert np.max(np.abs(V - complex_replay(basis, z))) <= 1e-13 * np.max(np.abs(V))
 
     def test_complex_recurrence_rejected(self, cell_mid, quad_mid):
         basis = build_basis(cell_mid, 0.3, 4, quad_mid)
