@@ -289,8 +289,9 @@ def _disc_stage(
     """Everything of band_structures that does not depend on h: the disc rule
     (geometry.build_cell_disc_quadrature), the symbol b (zero on the strip), and
     the basis E, orthonormalized on the disc once (build_basis, "Vandermonde
-    with Arnoldi") at eta0, with its moments.  eta0 is 0 when the grid folds to
-    more than one point, and that point when it folds to one.
+    with Arnoldi") at eta0, with its moments.  eta0 is 0 when summing over the
+    upper half-disc (below) costs less than the middle of the folded range,
+    and that middle otherwise, the folded point itself when there is one.
 
     The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the eta-fiber
     space, so each fiber is A x = lambda G x with the d x d matrices
@@ -306,9 +307,10 @@ def _disc_stage(
     M is the smallest degree with 2 (S/2)^(M+1) / (M+1)! <= 2^-52 e^-S,
     S = max |s| over the folded grid: the left side bounds the series tail,
     and e^-S keeps the error at rounding level against the smallest eigenvalue
-    of G, at least e^-|s|.  The folded range lies in [0, pi] and eta0 = 0, so
-    R0 < 1/2 gives S = 2 R0 max |eta| < pi and M <= 22 (17, 19, 20 and 22 on
-    linspace(-pi, pi, 65) at R0 0.2501, 0.35, 0.42 and 0.49).  The c_m
+    of G, at least e^-|s|.  The folded range lies in [0, pi], so R0 < 1/2
+    gives S = 2 R0 max |eta| < pi and M <= 22 from eta0 = 0 (17, 19, 20 and 22
+    on linspace(-pi, pi, 65) at R0 0.2501, 0.35, 0.42 and 0.49), and S < pi/2
+    and M <= 17 from the middle.  The c_m
     interpolate e^{s x} at numpy's Chebyshev points (chebpts1).  The disc
     moments are formed here in E; _cell_moments moves them to Q0.
 
@@ -331,27 +333,35 @@ def _disc_stage(
     (-1)^m Pi X_m+ Pi^T, where X_m+ is its sum over the nodes above it and on
     it, those at half weight (geometry.conjugate_half), and every moment is
     X_m = X_m+ + (-1)^m Pi X_m+ Pi^T: _chebyshev_moments runs on half the
-    nodes.  Its cost goes as the node count times M + 1, so this outweighs the
-    larger twist from eta0 = 0 (at the sweep size, 2400 nodes at M 19 against
-    the 4704 of the half rule at M 15 from the middle of [0, pi]).  A chain
-    that CUTOFF stopped alone leaves its level unpaired, a span not closed
-    under P; such a basis, found from its signs, sums over the whole half rule.
+    nodes.  Its cost goes as the node count times M + 1, so eta0 = 0 is taken
+    when (M + 1) n_up from 0 is below (M + 1) n_half from the middle: a wide
+    grid gains (at the sweep size, 2400 nodes at M 19 against 4704 at M 15 on
+    [0, pi]), a narrow one far from 0 would pay the whole twist (M 19 against
+    7 for the 3 eta nearest pi) and keeps the middle and the whole half rule.
+    A chain that CUTOFF stopped alone leaves its level unpaired, a span not
+    closed under P; such a basis, found from its signs, sums over the whole
+    half rule from eta0 = 0.
 
-    M = 0 exactly when the grid folds to one point (S is twice its largest
-    |eta| times R0 > 1/4), which needs no expansion: G = I by orthonormality,
-    and the stage holds A_0 = compress(v b, E^T), b repeated for each pair.
+    M = 0 exactly when the grid folds to one point (S is its folded range
+    times R0 > 1/4), which needs no expansion: G = I by orthonormality, and
+    the stage holds A_0 = compress(v b, E^T), b repeated for each pair.
     """
     disc = build_cell_disc_quadrature(cell.R0, n_r, n_t)
     n_half, v = mirror_half(disc)
     z = disc.nodes[:n_half]
     b = eval_cell_symbol(profile, cell, z)
-    eta0 = folded[0] if folded.size == 1 else 0.0
+    middle = 0.5 * (folded[0] + folded[-1])
+    M_middle, M_zero = (
+        _chebyshev_terms(2.0 * cell.R0 * float(np.abs(folded - e).max())) for e in (middle, 0.0)
+    )
+    n_up = np.count_nonzero(z.imag >= 0.0)
+    reflect = M_middle > 0 and (M_zero + 1) * n_up < (M_middle + 1) * n_half
+    eta0, M = (0.0, M_zero) if reflect else (middle, M_middle)
     basis = build_basis(cell, eta0, K_modes, disc)
     # the columns' (re, im) pairs on the half rule as rows: a view, since
     # build_basis stores the columns of Q as the rows of its buffer
     E = basis.Q[:n_half].T.view(float)
     s = -2.0 * (folded - eta0) * cell.R0
-    M = _chebyshev_terms(float(np.abs(s).max()))
     if M == 0:
         return _DiscStage(basis, M, None, compress(v * np.repeat(b, 2), E.T))
     # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
@@ -360,7 +370,7 @@ def _disc_stage(
     c = np.exp(np.outer(s, x_cheb)) @ chebvander(x_cheb, M) * (2.0 / (M + 1))
     c[:, 0] *= 0.5
     d, sign = basis.dim_eff, basis.sign
-    if d % 2 and np.all(sign[1::2] == 1) and np.all(sign[2::2] == -1):
+    if reflect and d % 2 and np.all(sign[1::2] == 1) and np.all(sign[2::2] == -1):
         upper, lower, v_up = conjugate_half(disc)
         E_up = E[:, 2 * upper.start : 2 * upper.stop]
         x = z[upper].imag / cell.R0
@@ -368,7 +378,7 @@ def _disc_stage(
         Pi = _reflection(E, upper, lower, v_up)
         parity = np.tile((-1.0) ** np.arange(M + 1), 2)[:, None, None]
         moments += parity * (Pi @ moments @ Pi.T)
-    else:  # a level left unpaired: the span is not closed under P
+    else:  # from the middle, or a level left unpaired: not closed under P
         moments = _chebyshev_moments(E, v[::2], b, z.imag / cell.R0, M).reshape(-1, d, d)
     return _DiscStage(basis, M, c, moments)
 

@@ -25,7 +25,6 @@ __all__ = [
     "build_cell_disc_quadrature",
     "build_cell_strip_rules",
     "compress",
-    "conjugate_half",
     "contains",
     "mirror_half",
 ]

@@ -171,18 +171,16 @@ class TestComputeBands:
     def test_real_nodes_untwisted(self, k3_profile):
         # n_t = 2 (angles 0 and pi) and n_strip = 1 put every node on the
         # real axis, where the twist weight is 1 for every eta: each fiber
-        # is the eta0 fiber, the grid's row at eta0 = 0.  The grid does not
-        # fold to one point, so the twist is expanded (M >= 1) and the
-        # fibers agree to rounding only
+        # is the eta0 fiber.  The grid does not fold to one point, so the
+        # twist is expanded (M >= 1) and the fibers agree to rounding only.
         cell = CellGeometry(R0=0.35, h=0.05)
         rule = dict(K_modes=2, N_keep=3, n_r=4, n_t=2, n_strip=1)
         folded, _ = band_solver._fold(np.array([-1.0, 0.0, 1.0]))
-        stage = band_solver._disc_stage(cell, k3_profile, folded, 2, 4, 2)
-        assert stage.M >= 1 and stage.basis.eta == 0.0
+        assert band_solver._disc_stage(cell, k3_profile, folded, 2, 4, 2).M >= 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bands = compute_bands(cell, k3_profile, [-1.0, 0.0, 1.0], **rule)
-        at_eta0 = bands.lambdas[1]
+            at_eta0 = compute_bands(cell, k3_profile, [0.5], **rule).lambdas[0]
         err = np.max(np.abs(bands.lambdas - at_eta0))
         assert err <= 1e-15 * np.max(np.abs(at_eta0))
 
@@ -440,16 +438,16 @@ class TestBandStructures:
             pytest.param(0.35, [0.7], 0, id="single"),
             pytest.param(0.35, [-0.7, 0.7], 0, id="pair"),
             pytest.param(0.35, [0.0, 1e-3], 4, id="narrow"),
-            # a narrow grid far from 0 pays the whole twist from eta0 = 0
-            pytest.param(0.35, np.linspace(-np.pi, np.pi, 65)[:3], 19, id="narrow-far"),
+            # a narrow grid far from 0 keeps the middle: M 19 from eta0 = 0
+            pytest.param(0.35, np.linspace(-np.pi, np.pi, 65)[:3], 7, id="narrow-far"),
         ],
     )
     def test_chebyshev_degree(self, k3_profile, R0, grid, M):
-        # M depends only on R0 and the folded grid, with no strip: the twist
-        # starts at eta0 = 0 and the default grid folds to [0, pi], the
-        # widest range, so S = 2 pi R0 < pi and M <= 22 for every R0 < 1/2;
-        # M = 0 exactly when the grid folds to one point, since S is twice
-        # its largest |eta| times R0 > 1/4
+        # M depends only on R0, the folded grid and the disc rule, with no
+        # strip: the default grid folds to [0, pi], the widest range, and
+        # twists from eta0 = 0, so S = 2 pi R0 < pi and M <= 22 for every
+        # R0 < 1/2; M = 0 exactly when the grid folds to one point, since S
+        # is the folded range times R0 > 1/4 from its middle
         cell = CellGeometry(R0=R0, h=0.05)
         n_r, n_t, _ = band_solver._quadrature_orders(10, R0)
         folded, _ = band_solver._fold(np.asarray(grid, dtype=float))
@@ -479,22 +477,23 @@ class TestBandStructures:
         assert np.max(np.abs(moments - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_unpaired_basis_sums_the_whole_half(self, monkeypatch, k3_profile):
-        # n_r 2, n_t 2 keeps 8 of the 21 columns at K 10: the +4 column has no
-        # -4 partner, so the span is not closed under z -> -z and the moments
-        # are summed over the whole half rule.  Each fiber against its pencil
-        # formed directly on the cell rule, with the exact twist weight, at
-        # the |eta| it is solved at: this span is not closed under conjugation
-        # either, so the pencils at eta and -eta differ
+        # n_r 1, n_t 4 keeps 8 of the 21 columns at K 10: the +4 column has
+        # no -4 partner, so the span is not closed under z -> -z and the
+        # moments are summed over the whole half rule, although the rule's
+        # node counts chose eta0 = 0 for the reflection.  Each fiber against
+        # its pencil formed directly on the cell rule, with the exact twist
+        # weight, at the |eta| it is solved at: this span is not closed under
+        # conjugation either, so the pencils at eta and -eta differ
         def forbidden(*args, **kwargs):
             raise AssertionError("an unpaired basis must not be reflected")
 
         monkeypatch.setattr(band_solver, "_reflection", forbidden)
         cell = CellGeometry(R0=0.35, h=0.05)
-        orders = dict(n_r=2, n_t=2, n_strip=2)
+        orders = dict(n_r=1, n_t=4, n_strip=2)
         etas = np.linspace(-np.pi, np.pi, 9)
         bands = compute_bands(cell, k3_profile, etas, K_modes=10, N_keep=4, **orders)
         folded, _ = band_solver._fold(etas)
-        basis = band_solver._disc_stage(cell, k3_profile, folded, 10, 2, 2).basis
+        basis = band_solver._disc_stage(cell, k3_profile, folded, 10, 1, 4).basis
         assert basis.eta == 0.0 and basis.dim_eff == bands.dim_eff == 8
         quad = build_cell_quadrature(cell, **orders)
         Q = basis.evaluate(quad.nodes)

@@ -125,10 +125,10 @@ class TestBuildBasis:
     @pytest.mark.parametrize("K", [10, 24, 32])
     def test_evaluate_matches_complex_replay(self, rng, K, R0):
         # the real in-place replay against the complex recurrence, on the disc
-        # bases band_structures builds (eta0 0 for a grid of several |eta|,
-        # and pi/2 as one single-fiber case): on the strips of h 0.1 and
-        # 0.002, and off the grid up to |Im z| 0.45, where the columns are
-        # largest
+        # bases band_structures builds (eta0 0, where the default grid twists
+        # from, and pi/2, the middle of its folded range, which a grid takes
+        # when that is cheaper): on the strips of h 0.1 and 0.002, and off
+        # the grid up to |Im z| 0.45, where the columns are largest
         n_r, n_t, n_strip = band_solver._quadrature_orders(K, R0)
         cell = CellGeometry(R0=R0, h=0.1)
         disc = build_cell_disc_quadrature(R0, n_r, n_t)
