@@ -206,6 +206,7 @@ def _chebyshev_moments(
             pk += tk
             row += d - k
         upper += u @ p.T
+    del U, P, halves, u, p, vT, qr, qi, t, pk, tk  # the chunk buffers, before the output
     moments = np.empty((rows, d, d))
     moments[:, l_idx, k_idx] = upper
     moments[:, k_idx, l_idx] = upper
@@ -279,7 +280,7 @@ class _DiscStage(NamedTuple):
     basis: TwistedBasis  # E, orthonormal on the disc rule at eta0
     M: int  # degree of the Chebyshev series of the twist weight
     c: np.ndarray | None  # c[i, m] of folded fiber i; None when M = 0
-    moments: np.ndarray  # A_0..A_M, G_0..G_M of the disc, or A_0 alone when M = 0
+    moments: np.ndarray  # d x d: A_0..A_M, G_0..G_M of the disc, or A_0 alone when M = 0
 
 
 def _disc_stage(
@@ -310,9 +311,9 @@ def _disc_stage(
     of G, at least e^-|s|.  The folded range lies in [0, pi], so R0 < 1/2
     gives S = 2 R0 max |eta| < pi and M <= 22 from eta0 = 0 (17, 19, 20 and 22
     on linspace(-pi, pi, 65) at R0 0.2501, 0.35, 0.42 and 0.49), and S < pi/2
-    and M <= 17 from the middle.  The c_m
-    interpolate e^{s x} at numpy's Chebyshev points (chebpts1).  The disc
-    moments are formed here in E; _cell_moments moves them to Q0.
+    and M <= 17 from the middle.  The c_m interpolate e^{s x} at numpy's
+    Chebyshev points (chebpts1).  The disc moments are formed here in E;
+    _cell_bands moves them to Q0, one cell at a time.
 
     Every moment is real symmetric: the cell, the rule, b and x are mirror
     symmetric (z -> -conj(z)) and every column of E is mirror-real
@@ -344,7 +345,7 @@ def _disc_stage(
 
     M = 0 exactly when the grid folds to one point (S is its folded range
     times R0 > 1/4), which needs no expansion: G = I by orthonormality, and
-    the stage holds A_0 = compress(v b, E^T), b repeated for each pair.
+    the stage holds the stack of one A_0 = compress(v b, E^T), b per pair.
     """
     disc = build_cell_disc_quadrature(cell.R0, n_r, n_t)
     n_half, v = mirror_half(disc)
@@ -363,7 +364,7 @@ def _disc_stage(
     E = basis.Q[:n_half].T.view(float)
     s = -2.0 * (folded - eta0) * cell.R0
     if M == 0:
-        return _DiscStage(basis, M, None, compress(v * np.repeat(b, 2), E.T))
+        return _DiscStage(basis, M, None, compress(v * np.repeat(b, 2), E.T)[None])
     # interpolate e^{s x} at the Chebyshev points: by discrete orthogonality
     # c_m = (2 - [m = 0]) / (M + 1) sum_j e^{s x_j} T_m(x_j)
     x_cheb = chebpts1(M + 1)
@@ -376,8 +377,9 @@ def _disc_stage(
         x = z[upper].imag / cell.R0
         moments = _chebyshev_moments(E_up, v_up, b[upper], x, M).reshape(-1, d, d)
         Pi = _reflection(E, upper, lower, v_up)
-        parity = np.tile((-1.0) ** np.arange(M + 1), 2)[:, None, None]
-        moments += parity * (Pi @ moments @ Pi.T)
+        reflected = Pi @ moments @ Pi.T
+        reflected.reshape(2, M + 1, d, d)[:, 1::2] *= -1.0  # (-1)^m, exact
+        moments += reflected
     else:  # from the middle, or a level left unpaired: not closed under P
         moments = _chebyshev_moments(E, v[::2], b, z.imag / cell.R0, M).reshape(-1, d, d)
     return _DiscStage(basis, M, c, moments)
@@ -415,26 +417,26 @@ def _reflection(E: np.ndarray, upper: slice, lower: tuple[slice, ...], v_up: np.
     return Pi
 
 
-# The largest 1 + tr S (_cell_moments) at which I + S is Cholesky-factored
+# The largest 1 + tr S (_cell_bands) at which I + S is Cholesky-factored
 _CHOLESKY_BOUND = 100.0
 
 
-def _cell_moments(stage: _DiscStage, F: np.ndarray, y: np.ndarray):
-    """One cell's moments in its cell-orthonormal basis: the (M + 1) x d^2 rows
-    (A_cell, G_cell) of the flattened A_m and G_m (_disc_stage), or the d x d
-    A_0 alone when M = 0.  F holds the basis on the cell's strip rule as
-    (re, im) rows, in build_basis' order like E's rows (_disc_stage), each
-    pair already scaled by sqrt(2 w) of its node (w the rule's weight, doubled
-    for the mirror half; band_structures scales a batch at once), and y the
-    rule's heights (build_cell_strip_rules).
+def _cell_bands(stage: _DiscStage, F: np.ndarray, y: np.ndarray, N_keep: int) -> np.ndarray:
+    """One cell's band rows, one per folded fiber (_disc_stage): its disc
+    moments moved to the cell-orthonormal basis, its strip added and each
+    fiber solved.  F holds the basis on the cell's strip rule as (re, im)
+    rows in build_basis' order, like E's rows, each pair already scaled by
+    sqrt(2 w) of its node (w the rule's weight, doubled for the mirror half;
+    band_structures scales a batch at once), and y the rule's heights.
 
     The strip adds S = F F^T to the Gram matrix of E, so the cell Gram matrix
     is I + S = R^T R for an upper triangular R, and E R^-1 is orthonormal on
     the cell: Q0 up to an orthogonal factor, which leaves the bands unchanged.
     Every disc moment moves to it as R^-T X R^-1, and ||R^-1|| <= 1 since
-    R^T R >= I, so the move never amplifies rounding.  The strip adds nothing
-    to A_m, and its G_m sum T_m(y / R0) times one d x d product per row of
-    nodes of one height y, of the scaled strip rows moved by R^-1.
+    R^T R >= I, so the move never amplifies rounding.  At M = 0, G = I and
+    the bands are the moved A_0's.  Otherwise the strip adds nothing to A_m,
+    and its G_m sum T_m(y / R0) times one d x d product per row of nodes of
+    one height y, of the scaled strip rows moved by R^-1 (_fiber_bands).
 
     R comes from one of two factorizations, chosen by cond(I + S) <= 1 + tr S
     = 1 + ||F||_F^2, a bound read off S.  Where 1 + tr S <= _CHOLESKY_BOUND,
@@ -482,14 +484,15 @@ def _cell_moments(stage: _DiscStage, F: np.ndarray, y: np.ndarray):
         R_inv = np.linalg.inv(np.linalg.cholesky(S)).T
     else:
         R_inv = np.linalg.inv(np.linalg.qr(np.hstack([F[::-1], np.eye(d)]).T, mode="r"))[::-1]
+    moved = R_inv.T @ stage.moments @ R_inv
     if M == 0:
-        return R_inv.T @ stage.moments @ R_inv
+        return _band_eigenvalues(moved, N_keep)
     Fr = (R_inv.T @ F).reshape(d, y.size, -1).transpose(1, 0, 2)
     per_row = Fr @ Fr.transpose(0, 2, 1)
     T = chebvander(y / stage.basis.cell.R0, M).T
-    A_cell, G_cell = (R_inv.T @ stage.moments @ R_inv).reshape(2, M + 1, d * d)
+    A_cell, G_cell = moved.reshape(2, M + 1, d * d)
     G_cell += T @ per_row.reshape(y.size, d * d)
-    return A_cell, G_cell
+    return _fiber_bands(stage.c, A_cell, G_cell, N_keep)
 
 
 def band_structures(
@@ -507,8 +510,8 @@ def band_structures(
     The cells share R0 (ValueError, raised by the first next() before any band
     work, wherever the offending cell is in the list) and may come in any
     order.  What does not depend on h is formed once (_disc_stage); each cell
-    adds its strip (_cell_moments) and solves its fibers (_fiber_bands), so it
-    gets the bands it gets alone.  Each distinct |eta| is solved once (_fold),
+    adds its strip and solves its fibers in one call (_cell_bands), so it gets
+    the bands it gets alone.  Each distinct |eta| is solved once (_fold),
     and the rows of the caller's grid, in its order, are copies.
 
     The cells are taken _STRIP_BATCH at a time, when the batch's first cell is
@@ -517,7 +520,7 @@ def band_structures(
     call, each cell taking its block of the result.  A call replays the basis
     recurrence in d sequential steps, whose fixed cost outweighs the arithmetic
     on one strip, and the batch bounds a step's work on a long h-list.  A
-    cell's strip factorization (_cell_moments) and fiber solves wait until it
+    cell's strip factorization and fiber solves (_cell_bands) wait until it
     is asked for, so a caller that stops early builds and solves no more
     batches and cells.
 
@@ -564,11 +567,7 @@ def band_structures(
             end = block.stop
             pairs = slice(2 * block.start, 2 * block.stop)
             y = nodes[block].imag[::n_strip]
-            moments = _cell_moments(stage, F[:, pairs], y)
-            if stage.M == 0:  # one fiber, eta0, where G = I: A_0 in the cell-orthonormal basis
-                lambdas = _band_eigenvalues(moments[None], N_keep)
-            else:
-                lambdas = _fiber_bands(stage.c, *moments, N_keep)
+            lambdas = _cell_bands(stage, F[:, pairs], y, N_keep)
             yield BandStructure(etas=etas, lambdas=lambdas[fiber], dim_eff=d)
 
 
