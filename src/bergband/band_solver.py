@@ -25,7 +25,6 @@ from .geometry import (
     build_cell_quadrature,
     build_cell_strip_rules,
     compress,
-    conjugate_half,
     mirror_half,
 )
 from .quasi_bergman import TwistedBasis, build_basis
@@ -329,10 +328,13 @@ def _disc_stage(
     (P f)(z) = f(-z), and on the half rule (P q)(z) = conj q(conj z), since every
     column is mirror-real.  The columns of each Arnoldi level, +k and -k, span
     with the earlier levels a P-invariant space, so P q_l = sum_k Pi[k, l] q_k
-    with Pi orthogonal, symmetric and block diagonal in the levels
-    (_reflection).  So a moment's sum over the nodes below the real axis is
-    (-1)^m Pi X_m+ Pi^T, where X_m+ is its sum over the nodes above it and on
-    it, those at half weight (geometry.conjugate_half), and every moment is
+    with Pi orthogonal, symmetric and block diagonal in the levels, read off
+    the recurrence H (_reflection).  The nodes below the real axis are the
+    exact conjugates of those above it, with equal weights, and the real nodes
+    and those above are one slice of the half rule
+    (geometry.build_cell_disc_quadrature).  So a moment's sum over the nodes
+    below is (-1)^m Pi X_m+ Pi^T, where X_m+ is its sum over that slice, the
+    real nodes at half weight, and every moment is
     X_m = X_m+ + (-1)^m Pi X_m+ Pi^T: _chebyshev_moments runs on half the
     nodes.  Its cost goes as the node count times M + 1, so eta0 = 0 is taken
     when (M + 1) n_up from 0 is below (M + 1) n_half from the middle: a wide
@@ -355,7 +357,9 @@ def _disc_stage(
     M_middle, M_zero = (
         _chebyshev_terms(2.0 * cell.R0 * float(np.abs(folded - e).max())) for e in (middle, 0.0)
     )
-    n_up = np.count_nonzero(z.imag >= 0.0)
+    # the real nodes and those above the real axis: one slice of the half rule
+    above = np.flatnonzero(z.imag >= 0.0)
+    upper, n_up = slice(above[0], above[-1] + 1), above.size
     reflect = M_middle > 0 and (M_zero + 1) * n_up < (M_middle + 1) * n_half
     eta0, M = (0.0, M_zero) if reflect else (middle, M_middle)
     basis = build_basis(cell, eta0, K_modes, disc)
@@ -372,11 +376,11 @@ def _disc_stage(
     c[:, 0] *= 0.5
     d, sign = basis.dim_eff, basis.sign
     if reflect and d % 2 and np.all(sign[1::2] == 1) and np.all(sign[2::2] == -1):
-        upper, lower, v_up = conjugate_half(disc)
-        E_up = E[:, 2 * upper.start : 2 * upper.stop]
         x = z[upper].imag / cell.R0
+        v_up = v[::2][upper] * np.where(x == 0.0, 0.5, 1.0)  # real nodes at half weight
+        E_up = E[:, 2 * upper.start : 2 * upper.stop]
         moments = _chebyshev_moments(E_up, v_up, b[upper], x, M).reshape(-1, d, d)
-        Pi = _reflection(E, upper, lower, v_up)
+        Pi = _reflection(basis.H)
         reflected = Pi @ moments @ Pi.T
         reflected.reshape(2, M + 1, d, d)[:, 1::2] *= -1.0  # (-1)^m, exact
         moments += reflected
@@ -385,35 +389,27 @@ def _disc_stage(
     return _DiscStage(basis, M, c, moments)
 
 
-def _reflection(E: np.ndarray, upper: slice, lower: tuple[slice, ...], v_up: np.ndarray):
+def _reflection(H: np.ndarray) -> np.ndarray:
     """The d x d matrix Pi[k, l] = <q_k, P q_l> of _disc_stage, (P q)(z) = q(-z),
-    for rows E of the basis on the half rule (re, im pairs) and the upper part
-    of geometry.conjugate_half.  On the half rule P q(z) = conj q(conj z), so
-    Pi[k, l] = sum_half v Re(q_k(z) q_l(conj z)) = B[k, l] + B[l, k], with B the
-    sum over the upper part of v_up Re(q_k(z) q_l(conj z)): each upper node
-    against its conjugate, a slice of the half rule.  Pi is formed only on its
-    diagonal blocks, one per Arnoldi level: 1 x 1 for the seed, then 2 x 2 for
-    each pair of columns +k, -k."""
-    d = E.shape[0]
-    levels = (d - 1) // 2
-    # re_k re_l - im_k im_l: the im entries of each pair weigh -v_up
-    w = np.repeat(v_up, 2)
-    w[1::2] *= -1.0
-    top = E[:, 2 * upper.start : 2 * upper.stop] * w
-    seed, blocks = 0.0, np.zeros((levels, 2, 2))
-    start = 0
-    for low in lower:
-        n = 2 * (low.stop - low.start)
-        a, b = top[:, start : start + n], E[:, 2 * low.start : 2 * low.stop]
-        start += n
-        seed += a[0] @ b[0]
-        blocks += a[1:].reshape(levels, 2, n) @ b[1:].reshape(levels, 2, n).transpose(0, 2, 1)
-    level = np.arange(levels)
-    diagonal = np.zeros((levels, 2, levels, 2))
-    diagonal[level, :, level, :] = blocks + blocks.transpose(0, 2, 1)
+    read off the recurrence H of a basis built at eta0 = 0 whose levels are
+    all paired (build_basis): no node is read.
+
+    Every column is a real trigonometric polynomial in e^{2 pi i z}, and P
+    swaps its coefficients of e^{2 pi i k z} and e^{-2 pi i k z}.  At level k,
+    with j the +k column and j + 1 the -k column, the +k column's coefficient
+    on e^{2 pi i k z} is p, the product of 1/H[i, i] over its chain from the
+    seed, and the -k column's on e^{-2 pi i k z} is q, likewise; the -k column
+    also carries -H[j+1, j] p / H[j+1, j+1] on e^{2 pi i k z}, from removing
+    the +k column.  The earlier levels carry neither mode, so P q_j = t q_j +
+    r q_{j+1} with r = p / q and t = H[j+1, j] r / H[j+1, j+1]: Pi is block
+    diagonal, 1 for the seed and [[t, r], [r, -t]] for each level."""
+    d = H.shape[0]
     Pi = np.zeros((d, d))
-    Pi[0, 0] = 2.0 * seed
-    Pi[1:, 1:] = diagonal.reshape(d - 1, d - 1)
+    Pi[0, 0], r = 1.0, 1.0
+    for j in range(1, d, 2):
+        r *= H[j + 1, j + 1] / H[j, j]
+        t = H[j + 1, j] * r / H[j + 1, j + 1]
+        Pi[j : j + 2, j : j + 2] = [[t, r], [r, -t]]
     return Pi
 
 
@@ -592,14 +588,22 @@ def compute_bands(
 
 def _default_merge_tol(bands: BandStructure) -> float:
     """Resolution-aware merge tolerance: the largest adjacent-eta increment
-    observed within any single band, i.e. how far the finite grid can move
-    a band value without implying an actual gap.  Adjacent means adjacent
-    in eta, so the rows are taken in sorted eta order, not grid order."""
-    if bands.etas.size < 2:
-        return 1e-12
-    order = np.argsort(bands.etas, kind="stable")
-    incr = np.abs(np.diff(bands.lambdas[order], axis=0))
-    return float(max(np.max(incr), 1e-12))
+    observed within any single signed band, i.e. how far the finite grid can
+    move a band value without implying an actual gap.  Adjacent means
+    adjacent in eta, so the rows are taken in sorted eta order, not grid
+    order.  A row is ordered by modulus, and where a +x and a -x band swap
+    that order between adjacent eta a column of lambdas jumps by about 2x,
+    so the steps are taken within each sign: the k-th largest positive value
+    of a row against the adjacent row's, and the k-th most negative likewise,
+    where both rows have one."""
+    tol = 1e-12
+    lam = bands.lambdas[np.argsort(bands.etas, kind="stable")]
+    for side in (lam, -lam):
+        # each row's values of this sign in decreasing size, then zeros
+        v = -np.sort(-np.maximum(side, 0.0), axis=1)
+        both = (v[1:] > 0.0) & (v[:-1] > 0.0)
+        tol = float(np.max(np.abs(np.diff(v, axis=0))[both], initial=tol))
+    return tol
 
 
 def essential_spectrum(

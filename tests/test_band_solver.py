@@ -477,6 +477,23 @@ class TestBandStructures:
         moments = stage.moments.reshape(-1, d * d)
         assert np.max(np.abs(moments - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("K", [2, 10, 24, 32])
+    @pytest.mark.parametrize("R0", [0.2501, 0.35, 0.49])
+    def test_reflection_from_recurrence(self, k3_profile, R0, K):
+        # Pi, read off H alone, against its definition Re(Q^H W Q(-z)) on the
+        # disc rule; it is a symmetric involution
+        cell = CellGeometry(R0=R0, h=0.05)
+        n_r, n_t, _ = band_solver._quadrature_orders(K, R0)
+        folded, _ = band_solver._fold(np.linspace(-np.pi, np.pi, 65))
+        basis = band_solver._disc_stage(cell, k3_profile, folded, K, n_r, n_t).basis
+        assert basis.eta == 0.0
+        Pi = band_solver._reflection(basis.H)
+        quad = basis.quad
+        ref = (basis.Q.conj().T @ (quad.weights[:, None] * basis.evaluate(-quad.nodes))).real
+        assert np.max(np.abs(Pi - ref)) <= 1e-14
+        assert np.array_equal(Pi, Pi.T)
+        assert np.max(np.abs(Pi @ Pi - np.eye(basis.dim_eff))) <= 1e-14
+
     def test_unpaired_basis_sums_the_whole_half(self, monkeypatch, k3_profile):
         # n_r 1, n_t 4 keeps 8 of the 21 columns at K 10: the +4 column has
         # no -4 partner, so the span is not closed under z -> -z and the
@@ -739,6 +756,18 @@ class TestEssentialSpectrum:
         permuted = compute_bands(cell, k3_profile, etas[perm])
         assert np.array_equal(permuted.lambdas, sorted_bands.lambdas[perm])
         assert essential_spectrum(permuted) == essential_spectrum(sorted_bands)
+
+    def test_merge_tolerance_within_signed_bands(self):
+        # rows are ordered by modulus, so the +-0.3 and +-0.29 bands swap
+        # columns between the two eta: a column jumps by 0.6, a signed band
+        # by 0.01, and the two bands and the 0-cluster stay apart
+        bands = band_solver.BandStructure(
+            etas=np.array([0.0, 0.1]),
+            lambdas=np.array([[0.3, -0.29], [-0.3, 0.29]]),
+            dim_eff=2,
+        )
+        assert band_solver._default_merge_tol(bands) == pytest.approx(0.01, rel=1e-12)
+        assert len(essential_spectrum(bands)) == 3
 
     def test_target_components_present(self, small_bands):
         comps = essential_spectrum(small_bands)

@@ -9,7 +9,6 @@ from bergband.geometry import (
     build_cell_quadrature,
     build_cell_disc_quadrature,
     build_cell_strip_rules,
-    conjugate_half,
     contains,
     mirror_half,
 )
@@ -149,34 +148,23 @@ class TestCellQuadrature:
     @pytest.mark.parametrize("orders", [(24, 48), (4, 2), (4, 6), (5, 20), (48, 96)], ids=str)
     def test_disc_rule_conjugate_ordered(self, orders):
         # the real nodes and those with Im z > 0 are one slice of the half
-        # rule; the lower slices hold their bitwise conjugates in order, with
-        # equal weights; v_up is the half rule's v, halved on the real nodes
+        # rule; the other nodes of the half rule are their bitwise
+        # conjugates, one to one, with equal weights
         disc = build_cell_disc_quadrature(0.3, *orders)
-        n_half, v = mirror_half(disc)
+        n_half, _ = mirror_half(disc)
         z, w = disc.nodes[:n_half], disc.weights[:n_half]
-        upper, lower, v_up = conjugate_half(disc)
-        top, low = z[upper], np.concatenate([z[s] for s in lower])
-        real = top.imag == 0.0
-        mirror = np.where(real, top, top.conj())  # a real node is its own conjugate
-        assert np.array_equal(low.view(np.uint64), mirror.view(np.uint64))
-        assert np.array_equal(np.concatenate([w[s] for s in lower]), w[upper])
-        assert np.all(top.imag[~real] > 0.0) and np.all(real[: np.count_nonzero(real)])
-        assert top.size - np.count_nonzero(real) + low.size == n_half
-        assert np.array_equal(v_up, np.where(real, 0.5, 1.0) * v[::2][upper])
-        assert 2.0 * np.sum(v_up) == pytest.approx(np.sum(v[::2]), rel=1e-14)
-
-    def test_rule_without_conjugate_order_rejected(self):
-        # the cell rule lists its strip nodes by height, not by conjugate
-        # pairs; the disc rule with the conjugates of its Re z = 0 upper
-        # nodes reversed is still mirror-ordered, but not conjugate-ordered
-        with pytest.raises(ValueError, match="not conjugate-ordered"):
-            conjugate_half(build_cell_quadrature(CellGeometry(R0=0.3, h=0.1)))
-        disc = build_cell_disc_quadrature(0.3)
-        upper, lower, _ = conjugate_half(disc)
-        order = np.arange(disc.nodes.size)
-        order[lower[2]] = order[lower[2]][::-1]
-        with pytest.raises(ValueError, match="not conjugate-ordered"):
-            conjugate_half(QuadratureRule(disc.nodes[order], disc.weights[order]))
+        upper = np.flatnonzero(z.imag >= 0.0)
+        assert upper.size and np.array_equal(upper, np.arange(upper[0], upper[-1] + 1))
+        top = upper[z.imag[upper] > 0.0]
+        low = np.flatnonzero(z.imag < 0.0)
+        assert top.size == low.size
+        # match[i, j]: lower node i is the bitwise conjugate of upper node j
+        bits = z.view(np.uint64).reshape(-1, 2)
+        conj_bits = z.conj().view(np.uint64).reshape(-1, 2)
+        match = (conj_bits[low, None] == bits[None, top]).all(axis=2)
+        assert np.all(match.sum(axis=0) == 1) and np.all(match.sum(axis=1) == 1)
+        _, pair = np.nonzero(match)
+        assert np.array_equal(w[low], w[top[pair]])
 
     def test_odd_angle_count_rejected(self):
         with pytest.raises(ValueError, match="n_t=3"):

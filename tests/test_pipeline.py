@@ -144,6 +144,17 @@ class TestRunPrescribedSpectrum:
             assert hit["hit"]
             assert hit["distance"] <= 0.02
 
+    def test_targets_of_both_signs_separated(self):
+        # the -0.2 and +0.2 bands swap their modulus order along the grid, so
+        # a column of lambdas jumps by 0.38; taken as the merge tolerance,
+        # that jump would join the target bands and the 0-cluster, and
+        # report 0.2 and 0.05 at distance 0
+        result = run_prescribed_spectrum(RunConfig(targets=(0.5, -0.2, 0.2, 0.05)))
+        report = result.spectrum_report
+        assert result.verdict and result.chosen_h == 0.0125
+        assert len(report.components) == 6
+        assert all(hit["distance"] > 0.0 for hit in report.target_hits)
+
     def test_diagnostics_trace(self, fast_config):
         result = run_prescribed_spectrum(fast_config)
         diag = result.diagnostics
