@@ -289,9 +289,9 @@ def _disc_stage(
     """Everything of band_structures that does not depend on h: the disc rule
     (geometry.build_cell_disc_quadrature), the symbol b (zero on the strip), and
     the basis E, orthonormalized on the disc once (build_basis, "Vandermonde
-    with Arnoldi") at eta0, with its moments.  eta0 is 0 when summing over the
-    upper half-disc (below) costs less than the middle of the folded range,
-    and that middle otherwise, the folded point itself when there is one.
+    with Arnoldi") at eta0, with its moments.  eta0 is the folded point itself
+    when the grid folds to one |eta|, and 0 otherwise, where the moments are
+    summed over the upper half-disc (below).
 
     The twist e^{i (eta - eta0) z} maps the eta0-fiber space onto the eta-fiber
     space, so each fiber is A x = lambda G x with the d x d matrices
@@ -309,10 +309,10 @@ def _disc_stage(
     and e^-S keeps the error at rounding level against the smallest eigenvalue
     of G, at least e^-|s|.  The folded range lies in [0, pi], so R0 < 1/2
     gives S = 2 R0 max |eta| < pi and M <= 22 from eta0 = 0 (17, 19, 20 and 22
-    on linspace(-pi, pi, 65) at R0 0.2501, 0.35, 0.42 and 0.49), and S < pi/2
-    and M <= 17 from the middle.  The c_m interpolate e^{s x} at numpy's
-    Chebyshev points (chebpts1).  The disc moments are formed here in E;
-    _cell_bands moves them to Q0, one cell at a time.
+    on linspace(-pi, pi, 65) at R0 0.2501, 0.35, 0.42 and 0.49).  The c_m
+    interpolate e^{s x} at numpy's Chebyshev points (chebpts1).  The disc
+    moments are formed here in E; _cell_bands moves them to Q0, one cell at a
+    time.
 
     Every moment is real symmetric: the cell, the rule, b and x are mirror
     symmetric (z -> -conj(z)) and every column of E is mirror-real
@@ -336,32 +336,22 @@ def _disc_stage(
     below is (-1)^m Pi X_m+ Pi^T, where X_m+ is its sum over that slice, the
     real nodes at half weight, and every moment is
     X_m = X_m+ + (-1)^m Pi X_m+ Pi^T: _chebyshev_moments runs on half the
-    nodes.  Its cost goes as the node count times M + 1, so eta0 = 0 is taken
-    when (M + 1) n_up from 0 is below (M + 1) n_half from the middle: a wide
-    grid gains (at the sweep size, 2400 nodes at M 19 against 4704 at M 15 on
-    [0, pi]), a narrow one far from 0 would pay the whole twist (M 19 against
-    7 for the 3 eta nearest pi) and keeps the middle and the whole half rule.
-    A chain that CUTOFF stopped alone leaves its level unpaired, a span not
-    closed under P; such a basis, found from its signs, sums over the whole
-    half rule from eta0 = 0.
+    nodes, at a cost that follows the node count far more than M (its
+    Khatri-Rao block), so a narrow grid far from 0 gains nothing from an
+    origin of its own.  A chain that CUTOFF stopped alone leaves its level
+    unpaired, a span not closed under P; such a basis, found from its signs,
+    sums over the whole half rule.
 
-    M = 0 exactly when the grid folds to one point (S is its folded range
-    times R0 > 1/4), which needs no expansion: G = I by orthonormality, and
-    the stage holds the stack of one A_0 = compress(v b, E^T), b per pair.
+    M = 0 exactly when the grid folds to one point (else S > _FOLD_TOL / 2),
+    which needs no expansion: G = I by orthonormality, and the stage holds
+    the stack of one A_0 = compress(v b, E^T), b per pair.
     """
     disc = build_cell_disc_quadrature(cell.R0, n_r, n_t)
     n_half, v = mirror_half(disc)
     z = disc.nodes[:n_half]
     b = eval_cell_symbol(profile, cell, z)
-    middle = 0.5 * (folded[0] + folded[-1])
-    M_middle, M_zero = (
-        _chebyshev_terms(2.0 * cell.R0 * float(np.abs(folded - e).max())) for e in (middle, 0.0)
-    )
-    # the real nodes and those above the real axis: one slice of the half rule
-    above = np.flatnonzero(z.imag >= 0.0)
-    upper, n_up = slice(above[0], above[-1] + 1), above.size
-    reflect = M_middle > 0 and (M_zero + 1) * n_up < (M_middle + 1) * n_half
-    eta0, M = (0.0, M_zero) if reflect else (middle, M_middle)
+    eta0 = float(folded[0]) if folded.size == 1 else 0.0
+    M = _chebyshev_terms(2.0 * cell.R0 * float(folded[-1] - eta0))
     basis = build_basis(cell, eta0, K_modes, disc)
     # the columns' (re, im) pairs on the half rule as rows: a view, since
     # build_basis stores the columns of Q as the rows of its buffer
@@ -375,7 +365,10 @@ def _disc_stage(
     c = np.exp(np.outer(s, x_cheb)) @ chebvander(x_cheb, M) * (2.0 / (M + 1))
     c[:, 0] *= 0.5
     d, sign = basis.dim_eff, basis.sign
-    if reflect and d % 2 and np.all(sign[1::2] == 1) and np.all(sign[2::2] == -1):
+    if d % 2 and np.all(sign[1::2] == 1) and np.all(sign[2::2] == -1):
+        # the real nodes and those above the real axis: one slice of the half rule
+        above = np.flatnonzero(z.imag >= 0.0)
+        upper = slice(above[0], above[-1] + 1)
         x = z[upper].imag / cell.R0
         v_up = v[::2][upper] * np.where(x == 0.0, 0.5, 1.0)  # real nodes at half weight
         E_up = E[:, 2 * upper.start : 2 * upper.stop]
@@ -384,7 +377,7 @@ def _disc_stage(
         reflected = Pi @ moments @ Pi.T
         reflected.reshape(2, M + 1, d, d)[:, 1::2] *= -1.0  # (-1)^m, exact
         moments += reflected
-    else:  # from the middle, or a level left unpaired: not closed under P
+    else:  # a level left unpaired: not closed under P
         moments = _chebyshev_moments(E, v[::2], b, z.imag / cell.R0, M).reshape(-1, d, d)
     return _DiscStage(basis, M, c, moments)
 

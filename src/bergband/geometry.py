@@ -77,8 +77,10 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):  # NaN fails too
             raise ValueError("all quadrature weights must be strictly positive")
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(nodes))):
+            raise ValueError("quadrature nodes and weights must be finite")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -132,7 +134,7 @@ def build_disc_quadrature(
     """
     if n_r < 1 or n_t < 1:
         raise ValueError(f"quadrature orders must be >= 1, got n_r={n_r}, n_t={n_t}")
-    if R0 <= 0.0:
+    if not (0.0 < R0 < np.inf):  # NaN fails too
         raise ValueError(f"disc radius must be positive, got {R0}")
     breaks = sorted(float(b) for b in radial_breaks)
     if any(not (0.0 < b < R0) for b in breaks):

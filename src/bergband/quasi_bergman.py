@@ -22,11 +22,11 @@ is enough": Giraud, Langou and Rozloznik, Comput. Math. Appl. 50 (2005)
 
 This is an Arnoldi process ("Vandermonde with Arnoldi": Brubeck,
 Nakatsukasa and Trefethen, SIAM Rev. 63 (2021) 405-415).  The basis keeps
-its recurrence (each column's parent and chain sign, and its projections
-and norm as one row of a lower-triangular H), and replaying it evaluates
-the columns off the quadrature grid.  Each step multiplies by
-e^{+-2 pi i z} or combines earlier columns, so the evaluated columns obey
-the boundary identity up to rounding.
+its recurrence (each column's chain sign, and its projections and norm as
+one row of a lower-triangular H), and replaying it evaluates the columns
+off the quadrature grid.  Each step multiplies by e^{+-2 pi i z} or
+combines earlier columns, so the evaluated columns obey the boundary
+identity up to rounding.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ class TwistedBasis:
         Lower triangular: row j holds the projections Q^H W cand removed
         from column j's candidate, summed over both Gram-Schmidt passes, and
         the norm that remained on the diagonal; H[0, 0] is the seed's norm.
-    parent, sign : ndarray of int, shape (dim_eff,)
-        Column j >= 1 came from e^{2 pi i sign[j] z} times column
-        parent[j]; entry 0, the seed, holds 0 in both.
+    sign : ndarray of int, shape (dim_eff,)
+        Column j >= 1 came from e^{2 pi i sign[j] z} times its chain's head,
+        the last earlier column of its sign (the seed 0 if none); sign[0] = 0.
 
     ``dim_eff``, the number of directions that survived the conditioning
     cutoff, is the column count of Q.  A complex H is rejected (ValueError):
@@ -81,7 +81,6 @@ class TwistedBasis:
     eta: float
     Q: np.ndarray
     H: np.ndarray
-    parent: np.ndarray
     sign: np.ndarray
     cell: CellGeometry
     quad: QuadratureRule
@@ -98,13 +97,14 @@ class TwistedBasis:
         """Basis column values at arbitrary points, shape (z.size, dim_eff).
 
         Replays the recurrence, v_0 = e^{i eta z} / H[0, 0] and
-        v_j = (e^{2 pi i sign[j] z} v_parent[j] - sum_{i<j} H[j, i] v_i) / H[j, j],
-        which at the quadrature nodes is the arithmetic that built Q: there
-        the values match Q to 6e-15 relative to max |Q| for K <= 32 at h 0.05.
-        Like build_basis it forms e^{2 pi i z} once and takes e^{-2 pi i z} as
-        its reciprocal, and since H is real, each step after the complex
-        product into row j runs in place on the float (re, im) view of the
-        output: one real product with the earlier rows, one division.
+        v_j = (e^{2 pi i sign[j] z} v_h - sum_{i<j} H[j, i] v_i) / H[j, j],
+        v_h the head of column j's chain (``sign``), which at the quadrature
+        nodes is the arithmetic that built Q: there the values match Q to
+        6e-15 relative to max |Q| for K <= 32 at h 0.05.  Like build_basis it
+        forms e^{2 pi i z} once and takes e^{-2 pi i z} as its reciprocal, and
+        since H is real, each step after the complex product into row j runs
+        in place on the float (re, im) view of the output: one real product
+        with the earlier rows, one division.
         """
         z = np.asarray(z, dtype=complex).ravel()
         up = np.exp(2j * np.pi * z)
@@ -112,8 +112,11 @@ class TwistedBasis:
         Vt = np.empty((self.dim_eff, z.size), dtype=complex)
         Vr = Vt.view(float)
         Vt[0] = np.exp(1j * self.eta * z) / self.H[0, 0]
+        head = {+1: 0, -1: 0}  # row of the last column per chain, as in build_basis
         for j in range(1, self.dim_eff):
-            np.multiply(step[self.sign[j]], Vt[self.parent[j]], out=Vt[j])
+            s = self.sign[j]
+            np.multiply(step[s], Vt[head[s]], out=Vt[j])
+            head[s] = j
             Vr[j] -= self.H[j, :j] @ Vr[:j]
             Vr[j] /= self.H[j, j]
         return Vt.T
@@ -160,14 +163,14 @@ def build_basis(
     def wnorm(f):
         return np.sqrt(np.dot(v, f * f))
 
-    # Accepted columns are the rows of Qt, their recurrence the rows of H,
-    # parent and sign; the first m rows of each are filled, and the
-    # candidates of one k are formed in the next rows of Qt.  R views the
-    # half-rule part of Qt as real (re, im) rows; CGS2 works on R alone.
+    # Accepted columns are the rows of Qt, their recurrence the rows of H and
+    # sign; the first m rows of each are filled, and the candidates of one k
+    # are formed in the next rows of Qt.  R views the half-rule part of Qt as
+    # real (re, im) rows; CGS2 works on R alone.
     Qt = np.empty((n_max, quad.nodes.size), dtype=complex)
     R = Qt[:, :n_half].view(float)
     H = np.zeros((n_max, n_max))
-    parent, sign = np.zeros((2, n_max), dtype=int)
+    sign = np.zeros(n_max, dtype=int)
 
     seed = np.exp(1j * eta * z)
     nrm = wnorm(seed.view(float))
@@ -212,7 +215,7 @@ def build_basis(
             # the -1 column moves up a row when the +1 candidate was rejected
             np.divide(Qt[m0 + i, :n_half], post, out=Qt[m, :n_half])
             H[m, m] = post
-            parent[m], sign[m] = head[s], s
+            sign[m] = s
             head[s] = m
             m += 1
     # the mirror half: Q(-conj z) = conj Q(z)
@@ -222,7 +225,6 @@ def build_basis(
         eta=float(eta),
         Q=Qt[:m].T,
         H=H[:m, :m],
-        parent=parent[:m],
         sign=sign[:m],
         cell=cell,
         quad=quad,

@@ -63,6 +63,8 @@ class RadialProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not np.all(np.isfinite((*self.coeffs, self.constant_term))):
+            raise ValueError(f"profile coefficients must be finite, got {self}")
         if not (0.0 < self.support <= 1.0):
             raise ValueError(f"support radius must be in (0, 1], got {self.support}")
 

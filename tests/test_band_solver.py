@@ -139,10 +139,10 @@ class TestComputeBands:
         "R0, K, grid",
         [
             pytest.param(0.35, K, grid, id=f"{grid}-{K}")
-            for grid in ("symmetric", "one-sided", "single", "negative", "mixed")
+            for grid in ("symmetric", "one-sided", "single", "negative", "mixed", "narrow-far")
             for K in (10, 16, 24)
         ]
-        # R0 = 0.49 needs the most Chebyshev terms (M = 17)
+        # R0 = 0.49 needs the most Chebyshev terms (M = 22)
         + [pytest.param(0.49, K, "symmetric", id=f"R0-0.49-symmetric-{K}") for K in (10, 24)]
         + [pytest.param(0.35, 10, "symmetric-33", id="symmetric-33-10")],
     )
@@ -158,6 +158,7 @@ class TestComputeBands:
             "negative": np.linspace(-2.9, -0.3, 7),
             "mixed": [-2.0, -0.4, 1.1],
             "symmetric-33": np.linspace(-np.pi, np.pi, 33),
+            "narrow-far": np.linspace(-np.pi, np.pi, 65)[:3],
         }[grid]
         cell = CellGeometry(R0=R0, h=0.02)
         bands = compute_bands(cell, k3_profile, etas, K_modes=K)
@@ -439,22 +440,24 @@ class TestBandStructures:
             pytest.param(0.35, [0.7], 0, id="single"),
             pytest.param(0.35, [-0.7, 0.7], 0, id="pair"),
             pytest.param(0.35, [0.0, 1e-3], 4, id="narrow"),
-            # a narrow grid far from 0 keeps the middle: M 19 from eta0 = 0
-            pytest.param(0.35, np.linspace(-np.pi, np.pi, 65)[:3], 7, id="narrow-far"),
+            # a narrow grid far from 0 twists from eta0 = 0 too, at the default
+            # grid's M, although M 7 would do from its middle
+            pytest.param(0.35, np.linspace(-np.pi, np.pi, 65)[:3], 19, id="narrow-far"),
         ],
     )
     def test_chebyshev_degree(self, k3_profile, R0, grid, M):
         # M depends only on R0, the folded grid and the disc rule, with no
-        # strip: the default grid folds to [0, pi], the widest range, and
-        # twists from eta0 = 0, so S = 2 pi R0 < pi and M <= 22 for every
-        # R0 < 1/2; M = 0 exactly when the grid folds to one point, since S
-        # is the folded range times R0 > 1/4 from its middle
+        # strip: a grid that folds to one point twists from it, with M = 0,
+        # and every other grid from eta0 = 0, so S = 2 R0 max |eta| <= 2 pi R0
+        # < pi and M <= 22 for every R0 < 1/2; S is then at least the folded
+        # range times 2 R0 > 1/2, so M >= 1
         cell = CellGeometry(R0=R0, h=0.05)
         n_r, n_t, _ = band_solver._quadrature_orders(10, R0)
         folded, _ = band_solver._fold(np.asarray(grid, dtype=float))
         stage = band_solver._disc_stage(cell, k3_profile, folded, 10, n_r, n_t)
         assert stage.M == M
         assert (stage.c is None) == (M == 0)
+        assert stage.basis.eta == (folded[0] if folded.size == 1 else 0.0)
 
     @pytest.mark.parametrize("K", [2, 10, 16])
     @pytest.mark.parametrize("R0", [0.2501, 0.35, 0.49])
@@ -497,11 +500,11 @@ class TestBandStructures:
     def test_unpaired_basis_sums_the_whole_half(self, monkeypatch, k3_profile):
         # n_r 1, n_t 4 keeps 8 of the 21 columns at K 10: the +4 column has
         # no -4 partner, so the span is not closed under z -> -z and the
-        # moments are summed over the whole half rule, although the rule's
-        # node counts chose eta0 = 0 for the reflection.  Each fiber against
-        # its pencil formed directly on the cell rule, with the exact twist
-        # weight, at the |eta| it is solved at: this span is not closed under
-        # conjugation either, so the pencils at eta and -eta differ
+        # moments are summed over the whole half rule, although the grid
+        # twists from eta0 = 0.  Each fiber against its pencil formed directly
+        # on the cell rule, with the exact twist weight, at the |eta| it is
+        # solved at: this span is not closed under conjugation either, so the
+        # pencils at eta and -eta differ
         def forbidden(*args, **kwargs):
             raise AssertionError("an unpaired basis must not be reflected")
 

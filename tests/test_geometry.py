@@ -48,6 +48,14 @@ class TestQuadratureRule:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             QuadratureRule(np.array([0.0 + 0j]), np.array([0.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                QuadratureRule(np.array([0.1, 0.2 + 0j]), np.array([bad, 1.0]))
+
+    def test_rejects_non_finite_nodes(self):
+        for bad in (np.nan, np.inf, complex(0.1, np.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                QuadratureRule(np.array([bad, 0.2 + 0j]), np.array([1.0, 1.0]))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -103,6 +111,9 @@ class TestDiscQuadrature:
             build_disc_quadrature(0.4, n_r=0)
         with pytest.raises(ValueError):
             build_disc_quadrature(-0.1)
+        for R0 in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="disc radius must be positive"):
+                build_disc_quadrature(R0)
         with pytest.raises(ValueError):
             build_disc_quadrature(0.4, radial_breaks=(0.5,))
 

@@ -31,7 +31,7 @@ def mgs_reference_basis(cell, eta, K_modes, quad):
     nrm = np.sqrt(wip(seed, seed).real)
     H = np.zeros((n_max, n_max), dtype=complex)
     H[0, 0] = nrm
-    cols, parent, sign = [seed / nrm], [0], [0]
+    cols, sign = [seed / nrm], [0]
     head = {+1: 0, -1: 0}
     for k in range(1, K_modes + 1):
         for s in (+1, -1):
@@ -52,7 +52,6 @@ def mgs_reference_basis(cell, eta, K_modes, quad):
             j = len(cols)
             H[j, :j], H[j, j] = hrow, post
             cols.append(cand / post)
-            parent.append(head[s])
             sign.append(s)
             head[s] = j
     d = len(cols)
@@ -61,7 +60,6 @@ def mgs_reference_basis(cell, eta, K_modes, quad):
         eta=float(eta),
         Q=np.column_stack(cols),
         H=H[:d, :d].real.copy(),
-        parent=np.array(parent),
         sign=np.array(sign),
         cell=cell,
         quad=quad,
@@ -70,14 +68,17 @@ def mgs_reference_basis(cell, eta, K_modes, quad):
 
 def complex_replay(basis, z):
     """TwistedBasis.evaluate's recurrence as its docstring writes it: both
-    steps from np.exp, every product complex."""
+    steps from np.exp, every product complex, each column's chain head the
+    last earlier column of its sign (the seed at first)."""
     z = np.asarray(z, dtype=complex).ravel()
     step = {s: np.exp(1j * s * 2.0 * np.pi * z) for s in (+1, -1)}
     H = basis.H.astype(complex)
     V = np.empty((basis.dim_eff, z.size), dtype=complex)
     V[0] = np.exp(1j * basis.eta * z) / H[0, 0]
     for j in range(1, basis.dim_eff):
-        V[j] = (step[basis.sign[j]] * V[basis.parent[j]] - H[j, :j] @ V[:j]) / H[j, j]
+        s = basis.sign[j]
+        head = max([0, *np.flatnonzero(basis.sign[:j] == s)])
+        V[j] = (step[s] * V[head] - H[j, :j] @ V[:j]) / H[j, j]
     return V.T
 
 
@@ -125,10 +126,10 @@ class TestBuildBasis:
     @pytest.mark.parametrize("K", [10, 24, 32])
     def test_evaluate_matches_complex_replay(self, rng, K, R0):
         # the real in-place replay against the complex recurrence, on the disc
-        # bases band_structures builds (eta0 0, where the default grid twists
-        # from, and pi/2, the middle of its folded range, which a grid takes
-        # when that is cheaper): on the strips of h 0.1 and 0.002, and off
-        # the grid up to |Im z| 0.45, where the columns are largest
+        # bases band_structures builds (eta0 0, where every multi-fiber grid
+        # twists from, and pi/2, the eta0 of a one-fiber grid at pi/2): on the
+        # strips of h 0.1 and 0.002, and off the grid up to |Im z| 0.45, where
+        # the columns are largest
         n_r, n_t, n_strip = band_solver._quadrature_orders(K, R0)
         cell = CellGeometry(R0=R0, h=0.1)
         disc = build_cell_disc_quadrature(R0, n_r, n_t)

@@ -122,6 +122,16 @@ class TestRadialProfile:
         assert profile.sup_norm() == pytest.approx(2.8, rel=1e-6)
         assert k3_profile.sup_norm() > 0.0
 
+    def test_non_finite_coefficient_rejected(self):
+        # caught here, not deep in compute_bands' eigensolve
+        for fields in (
+            dict(coeffs=(np.nan,)),
+            dict(coeffs=(1.0, -np.inf)),
+            dict(coeffs=(), constant_term=np.inf),
+        ):
+            with pytest.raises(ValueError, match="profile coefficients must be finite"):
+                RadialProfile(**fields)
+
     def test_unit_profile(self):
         unit = RadialProfile.unit()
         assert unit(0.0) == 1.0
